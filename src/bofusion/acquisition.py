@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
 from scipy.special import erfcx, ndtr
 
 from . import gp as _gp
@@ -134,10 +133,11 @@ class NehviAcquisition:
         n_mc = cfg.n_mc
 
         rng = np.random.default_rng(cfg.seed)
-        self._obs_mu = []
         self._obs_chol = []
         self._obs_zero = []
         self._cand_z = []
+        self._resid = []
+        self._gp_terms = []
         samples = np.empty((n, n_mc, K))
         for k, model in enumerate(self.models):
             mu, cov = model.posterior_joint(self.X)
@@ -145,20 +145,13 @@ class NehviAcquisition:
             L, is_zero = _chol_or_zero(np.asarray(cov, dtype=float))
             Z = rng.standard_normal((n, n_mc))
             samples[:, :, k] = mu[:, None] + (L @ Z if not is_zero else 0.0)
-            self._obs_mu.append(mu)
-            self._obs_chol.append(L)
+            # Fortran order is what potrs takes without a copy.
+            self._obs_chol.append(np.asfortranarray(L))
             self._obs_zero.append(is_zero)
             self._cand_z.append(rng.standard_normal(n_mc))
+            self._resid.append(samples[:, :, k] - mu[:, None])
+            self._gp_terms.append(self._kernel_terms(model) if isinstance(model, _gp.GpModel) else None)
         self._samples = samples
-
-        # Fast conditioning caches for real GP models (std-space solves).
-        self._v_obs = []
-        for model in self.models:
-            if isinstance(model, _gp.GpModel):
-                ks = _gp.matern52(model.X, self.X, model.params)
-                self._v_obs.append(solve_triangular(model.chol, ks, lower=True))
-            else:
-                self._v_obs.append(None)
 
         if K == 2:
             self._build_staircases()
@@ -168,6 +161,17 @@ class NehviAcquisition:
             ]
         else:
             self._base1 = np.maximum(samples[:, :, 0].max(axis=0), 0.0)
+
+    def _kernel_terms(self, model: _gp.GpModel) -> tuple:
+        """What every candidate's conditioning on a GP objective reuses:
+        training and observed inputs divided by the lengthscales, their
+        squared row norms, V_obs = L^-1 k(X_train, X_obs) and y_scale^2."""
+        ls = model.params.lengthscales
+        A_train, A_obs = model.X / ls, self.X / ls
+        a2_train, a2_obs = _gp._sq_norms(A_train), _gp._sq_norms(A_obs)
+        ks = _gp._matern52_scaled(A_train, a2_train, A_obs, a2_obs, model.params.signal_var)
+        V_obs = _gp._tri_solve(model.chol, ks)
+        return A_train, a2_train, A_obs, a2_obs, V_obs, model.y_scale * model.y_scale
 
     def _build_staircases(self):
         n_mc = self.cfg.n_mc
@@ -195,13 +199,15 @@ class NehviAcquisition:
         out = np.empty((self.cfg.n_mc, len(self.models)))
         cand = np.atleast_2d(delta)
         for k, model in enumerate(self.models):
-            if self._v_obs[k] is not None:
+            if self._gp_terms[k] is not None:
+                A_train, a2_train, A_obs, a2_obs, V_obs, scale2 = self._gp_terms[k]
                 p = model.params
-                ks_c = _gp.matern52(model.X, cand, p)
-                v_c = solve_triangular(model.chol, ks_c, lower=True)[:, 0]
+                B = cand / p.lengthscales
+                b2 = _gp._sq_norms(B)
+                ks_c = _gp._matern52_scaled(A_train, a2_train, B, b2, p.signal_var)
+                v_c = _gp._tri_solve(model.chol, ks_c)[:, 0]
                 mu_c = model.y_mean + model.y_scale * float(ks_c[:, 0] @ model.alpha)
-                scale2 = model.y_scale * model.y_scale
-                cross = _gp.matern52(self.X, cand, p)[:, 0] - self._v_obs[k].T @ v_c
+                cross = _gp._matern52_scaled(A_obs, a2_obs, B, b2, p.signal_var)[:, 0] - V_obs.T @ v_c
                 sig_oc = scale2 * cross
                 sig_cc = scale2 * max(p.signal_var - float(v_c @ v_c), 0.0)
             else:
@@ -215,10 +221,9 @@ class NehviAcquisition:
             if self._obs_zero[k]:
                 w = np.zeros(len(self.X))
             else:
-                w = cho_solve((self._obs_chol[k], True), sig_oc)
+                w = _gp._cho_solve(self._obs_chol[k], sig_oc)
             cond_var = max(sig_cc - float(sig_oc @ w), 0.0)
-            resid = self._samples[:, :, k] - self._obs_mu[k][:, None]
-            cond_mean = mu_c + w @ resid
+            cond_mean = mu_c + w @ self._resid[k]
             out[:, k] = cond_mean + math.sqrt(cond_var) * self._cand_z[k]
         return out
 
@@ -267,6 +272,10 @@ def optimize_acq(acq, domain, cfg: AcqConfig | None = None) -> np.ndarray:
     cyclic +/- coordinate search with a halving step (0.25 down to 1e-4),
     projecting each trial back onto the domain. Deterministic given cfg.seed;
     value ties resolve to the lowest candidate index.
+
+    `acq` must be a pure function of its argument: each distinct candidate
+    is scored once and a revisited one reuses that score. NEHVI qualifies
+    because it fixes all its random numbers when built.
     """
     cfg = cfg or AcqConfig()
     rng = np.random.default_rng(cfg.seed)
@@ -286,17 +295,23 @@ def optimize_acq(acq, domain, cfg: AcqConfig | None = None) -> np.ndarray:
         to_point = lambda u: u
         project = _project_simplex
 
+    seen: dict[bytes, float] = {}
+
     def safe_eval(u):
-        v = float(acq(to_point(u)))
-        return v if math.isfinite(v) else -math.inf
+        key = u.tobytes()
+        v = seen.get(key)
+        if v is None:
+            v = float(acq(to_point(u)))
+            v = seen[key] = v if math.isfinite(v) else -math.inf
+        return v
 
     vals = np.array([safe_eval(u) for u in units])
     if not np.any(np.isfinite(vals) & (vals > -math.inf)):
         raise NumericalError("acquisition returned non-finite values for every candidate")
 
     top = np.argsort(-vals, kind="stable")[: cfg.n_restarts]
-    best_u, best_v, best_rank = None, -math.inf, math.inf
-    for rank, idx in enumerate(top):
+    best_u, best_v = None, -math.inf
+    for idx in top:
         u = units[idx].copy()
         v = vals[idx]
         if v == -math.inf:
@@ -319,7 +334,7 @@ def optimize_acq(acq, domain, cfg: AcqConfig | None = None) -> np.ndarray:
                     break
             step *= 0.5
         if v > best_v:
-            best_u, best_v, best_rank = u, v, rank
+            best_u, best_v = u, v
     if best_u is None:
         raise NumericalError("acquisition refinement failed for every restart")
     if is_box:

@@ -4,6 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.linalg import cho_solve, solve_triangular
 from scipy.special import ndtr
 
 from bofusion.acquisition import (
@@ -17,7 +18,7 @@ from bofusion.acquisition import (
 )
 from bofusion.core import BoundedParamSpace, ParamDim
 from bofusion.errors import NumericalError
-from bofusion.gp import KernelParams, build_gp
+from bofusion.gp import KernelParams, build_gp, fit_gp, matern52
 from bofusion.pareto import hv_improvement, pareto_front
 
 
@@ -189,6 +190,26 @@ class TestOptimizeAcq:
         x = optimize_acq(acq, SimplexDomain(3), AcqConfig(seed=2))
         assert x[0] <= 0.5 + 1e-9
 
+    def test_scores_each_distinct_candidate_once(self):
+        """acq must be a pure function of its argument: optimize_acq scores
+        each distinct candidate once and reuses that score when the
+        coordinate search comes back to the point."""
+        c = np.array([0.4, 0.6])
+        cases = [
+            (SimplexDomain(3), lambda d: -float((d[0] - 0.3) ** 2 + (d[1] - 0.5) ** 2)),
+            (box_space(), lambda x: -float(np.sum((x - c) ** 2))),
+        ]
+        for domain, acq in cases:
+            args = []
+
+            def counting(x):
+                args.append(np.asarray(x, dtype=float).tobytes())
+                return acq(x)
+
+            got = optimize_acq(counting, domain, AcqConfig(seed=0))
+            assert len(args) == len(set(args))
+            assert np.array_equal(got, optimize_acq(acq, domain, AcqConfig(seed=0)))
+
     def test_box_result_in_box(self):
         space = BoundedParamSpace((ParamDim("lr", 1e-4, 1.0, scale="log"),))
         x = optimize_acq(lambda x: -abs(math.log(x[0]) + 4.0), space, AcqConfig(seed=3))
@@ -338,3 +359,52 @@ class TestNehvi:
         fast = nehvi_mc([model, model], cand, X, cfg=cfg)
         slow = nehvi_mc([SlowWrapper(model), SlowWrapper(model)], cand, X, cfg=cfg)
         assert fast == pytest.approx(slow, rel=1e-8, abs=1e-12)
+
+
+class FromScratchNehvi(NehviAcquisition):
+    """NEHVI with each candidate conditioned from scratch: matern52 kernel
+    rows, solve_triangular and cho_solve on every call, nothing cached
+    beyond the scenario draws."""
+
+    def _candidate_samples(self, delta):
+        out = np.empty((self.cfg.n_mc, len(self.models)))
+        cand = np.atleast_2d(delta)
+        for k, model in enumerate(self.models):
+            p = model.params
+            obs_mu, _ = model.posterior_joint(self.X)
+            v_obs = solve_triangular(model.chol, matern52(model.X, self.X, p), lower=True)
+            ks_c = matern52(model.X, cand, p)
+            v_c = solve_triangular(model.chol, ks_c, lower=True)[:, 0]
+            mu_c = model.y_mean + model.y_scale * float(ks_c[:, 0] @ model.alpha)
+            scale2 = model.y_scale * model.y_scale
+            cross = matern52(self.X, cand, p)[:, 0] - v_obs.T @ v_c
+            sig_oc = scale2 * cross
+            sig_cc = scale2 * max(p.signal_var - float(v_c @ v_c), 0.0)
+            w = cho_solve((np.ascontiguousarray(self._obs_chol[k]), True), sig_oc)
+            cond_var = max(sig_cc - float(sig_oc @ w), 0.0)
+            resid = self._samples[:, :, k] - obs_mu[:, None]
+            cond_mean = mu_c + w @ resid
+            out[:, k] = cond_mean + math.sqrt(cond_var) * self._cand_z[k]
+        return out
+
+
+class TestNehviMatchesFromScratchFormula:
+    """The cached per-candidate conditioning gives exactly the values of the
+    from-scratch formula, on fitted GPs."""
+
+    @pytest.mark.parametrize("n_obj, n_mc", [(2, 64), (3, 8)])
+    def test_values_equal_on_fitted_gps(self, n_obj, n_mc):
+        rng = np.random.default_rng(40 + n_obj)
+        d = 4
+        X = np.vstack([np.eye(d), np.full(d, 1.0 / d), _simplex_history(rng, 9, k=d)])
+        W = rng.standard_normal((d, n_obj))
+        Y = np.sin(2.0 * X @ W) + 0.05 * rng.standard_normal((len(X), n_obj))
+        models = [fit_gp(X, Y[:, k], seed=k, restarts=3) for k in range(n_obj)]
+        cfg = AcqConfig(n_mc=n_mc, seed=11)
+        acq = NehviAcquisition(models, X, cfg)
+        oracle = FromScratchNehvi(models, X, cfg)
+        assert not any(acq._obs_zero)
+        cands = np.vstack([X[:4], _simplex_history(rng, 196, k=d)])
+        for cand in cands:
+            assert np.array_equal(acq._candidate_samples(cand), oracle._candidate_samples(cand))
+            assert acq(cand) == oracle(cand)

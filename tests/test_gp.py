@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from bofusion.errors import NumericalError
 from bofusion.gp import (
@@ -333,3 +334,78 @@ class TestLml:
             build_gp(np.zeros((3, 1)), np.zeros(4), KernelParams(np.array([0.5]), 1.0, 0.1))
         with pytest.raises(ValueError):
             KernelParams(np.array([0.5]), -1.0, 0.1)
+
+
+# ---------------------------------------------------------------------------
+# the fit against a model-per-evaluation reference
+
+
+def reference_fit(X, y, seed, restarts=8, maxiter=200, noise_bounds=NOISE_VAR_BOUNDS):
+    """fit_gp written out as a plain multi-start Nelder-Mead over
+    -log_marginal_likelihood(build_gp(...)), one model per evaluation.
+    Returns the fitted model and the jitter of every evaluated model."""
+    d = X.shape[1]
+    lo = np.log(np.array([LENGTHSCALE_BOUNDS[0]] * d + [SIGNAL_VAR_BOUNDS[0], noise_bounds[0]]))
+    hi = np.log(np.array([LENGTHSCALE_BOUNDS[1]] * d + [SIGNAL_VAR_BOUNDS[1], noise_bounds[1]]))
+    jitters = []
+
+    def params_at(theta):
+        return KernelParams(np.exp(theta[:d]), math.exp(theta[d]), math.exp(theta[d + 1]))
+
+    def neg_lml(theta):
+        try:
+            model = build_gp(X, y, params_at(np.clip(theta, lo, hi)))
+        except NumericalError:
+            return 1e12
+        jitters.append(model.jitter)
+        return -log_marginal_likelihood(model)
+
+    rng = np.random.default_rng(seed)
+    starts = [np.clip(np.log(np.concatenate([np.full(d, 0.5), [1.0, 1e-4]])), lo, hi)]
+    starts += [rng.uniform(lo, hi) for _ in range(restarts - 1)]
+    best_val, best_theta = math.inf, None
+    for theta0 in starts:
+        res = minimize(neg_lml, theta0, method="Nelder-Mead", bounds=list(zip(lo, hi)),
+                       options={"maxiter": maxiter, "xatol": 1e-3, "fatol": 1e-5})
+        if res.fun < best_val:
+            best_val, best_theta = res.fun, np.clip(res.x, lo, hi)
+    return build_gp(X, y, params_at(best_theta)), jitters
+
+
+class TestFitMatchesReference:
+    """fit_gp scores each Nelder-Mead vertex without building a model; its
+    result must be bit-identical to the model-per-evaluation reference."""
+
+    def assert_same_fit(self, X, y, seed, noise_bounds=NOISE_VAR_BOUNDS):
+        want, jitters = reference_fit(X, y, seed, noise_bounds=noise_bounds)
+        got = fit_gp(X, y, seed=seed, noise_bounds=noise_bounds)
+        assert np.array_equal(got.params.lengthscales, want.params.lengthscales)
+        assert got.params.signal_var == want.params.signal_var
+        assert got.params.noise_var == want.params.noise_var
+        assert np.array_equal(got.alpha, want.alpha)
+        assert np.array_equal(got.chol, want.chol)
+        assert got.jitter == want.jitter
+        assert got.y_mean == want.y_mean and got.y_scale == want.y_scale
+        return jitters
+
+    def test_random_data(self):
+        rng = np.random.default_rng(21)
+        X, y = random_dataset(rng, 14, 3)
+        self.assert_same_fit(X, y, seed=4)
+
+    def test_duplicate_rows_take_the_jitter_path(self):
+        rng = np.random.default_rng(22)
+        X = rng.uniform(size=(5, 2))
+        X = np.vstack([X, X, X[:2]])
+        y = np.sin(4.0 * X[:, 0]) + X[:, 1]
+        # Near-zero noise leaves the repeated rows' kernel singular, so some
+        # evaluations need jitter to factorize.
+        jitters = self.assert_same_fit(X, y, seed=5, noise_bounds=(1e-16, 1e-12))
+        assert max(jitters) > 0.0
+
+    def test_constant_targets_keep_unit_scale(self):
+        rng = np.random.default_rng(23)
+        X = rng.uniform(size=(9, 2))
+        y = np.full(9, 1.75)
+        self.assert_same_fit(X, y, seed=6)
+        assert fit_gp(X, y, seed=6).y_scale == 1.0
