@@ -15,34 +15,7 @@ import argparse
 import numpy as np
 
 from bofusion.acquisition import AcqConfig
-from bofusion.core import ObjectiveEntry, ObjectiveSpec, derive_norm_bounds
-from bofusion.fusion import fuse
-from bofusion.pipeline import InProcessEvaluator, run_mobo
-from bofusion.toybench import ToyEvaluator, score_fused
-
-
-def gap_for(seed: int, variant: str, acq: AcqConfig) -> float:
-    ev = ToyEvaluator(
-        seed=seed, n_members=8, n_val=48, p_pos=0.3,
-        separation=1.5, n_heldout=4096,
-    )
-    ev.train({"lr": 0.8, "steps": 40})
-    singles = [ev.score(np.eye(8)[i]) for i in range(8)]
-    loss_window = derive_norm_bounds([s["loss"] for s in singles], "loss", "minimize")
-    f1_window = derive_norm_bounds([s["f1"] for s in singles], "metric", "maximize")
-    entries = [ObjectiveEntry("f1", "maximize", *f1_window, "metric")]
-    if variant == "multi":
-        entries.insert(0, ObjectiveEntry("loss", "minimize", *loss_window, "loss"))
-    delta, _ = run_mobo(
-        ev.members, InProcessEvaluator(ev), ObjectiveSpec(tuple(entries)),
-        seed=seed, best_member_id=int(np.argmax([s["f1"] for s in singles])),
-        acq_cfg=acq, gp_restarts=2,
-    )
-    fused = fuse(ev.members, delta)
-    return (
-        score_fused(ev.task, fused, "val")["f1"]
-        - score_fused(ev.task, fused, "heldout")["f1"]
-    )
+from bofusion.pipeline import overfit_gap
 
 
 def main() -> None:
@@ -54,7 +27,7 @@ def main() -> None:
     gaps = {"multi": [], "single": []}
     print(f"{'seed':>4}  {'multi gap':>10}  {'single gap':>10}")
     for seed in range(args.seeds):
-        row = {v: gap_for(seed, v, acq) for v in ("multi", "single")}
+        row = {v: overfit_gap(seed, v, acq) for v in ("multi", "single")}
         for v in gaps:
             gaps[v].append(row[v])
         print(f"{seed:>4}  {row['multi']:>+10.4f}  {row['single']:>+10.4f}")

@@ -18,7 +18,6 @@ import sys
 
 import numpy as np
 
-from .core import ObjectiveEntry, ObjectiveSpec, derive_norm_bounds
 from .errors import (
     BofusionError,
     CheckpointError,
@@ -28,7 +27,7 @@ from .errors import (
     ProtocolError,
     UsageError,
 )
-from .fusion import SimplexCoefficients, fuse, load_member_set, save_checkpoint
+from .fusion import SimplexCoefficients, atomic_write, fuse, load_member_set, save_checkpoint
 from .pareto import hv_method, hypervolume, pareto_front
 from . import pipeline as pl
 
@@ -130,7 +129,7 @@ def _scorer_for_members(block: dict, members):
     evaluator owns its own copy of the member set and only the count must
     agree (the child rejects mismatched deltas through the protocol).
     """
-    scorer = pl.build_evaluator(block, n_members=len(members), role="scorer")
+    scorer = pl.build_evaluator(block, n_members=len(members))
     target = getattr(scorer, "target", None)
     if target is None:
         return scorer
@@ -146,26 +145,6 @@ def _scorer_for_members(block: dict, members):
                 f"manifest weights have dim {dim}, landscape has dim {target.landscape.dim}")
     target.members = members
     return scorer
-
-
-def _derive_windows_from_onehots(scorer, spec0: ObjectiveSpec, n: int, seed: int):
-    standalone = [
-        pl._score_or_none(scorer, np.eye(n)[i], spec0, seed, i) for i in range(n)
-    ]
-    ok = [o for o in standalone if not o.meta.failed]
-    if not ok:
-        raise EvaluationFailedError("every standalone member score failed")
-    entries = []
-    for k, entry in enumerate(spec0.entries):
-        lo, hi = derive_norm_bounds([float(o.raw[k]) for o in ok], entry.kind, entry.direction)
-        entries.append(ObjectiveEntry(entry.name, entry.direction, lo, hi, entry.kind))
-    spec = ObjectiveSpec(tuple(entries))
-    renormed = [
-        pl._observe_raws(o.x, dict(zip(spec0.names, o.raw)), spec, seed, i, 0.0)
-        if not o.meta.failed else pl._failed_observation(o.x, spec, seed, i, 0.0)
-        for i, o in enumerate(standalone)
-    ]
-    return spec, renormed
 
 
 def _cmd_hpo(args) -> int:
@@ -208,14 +187,7 @@ def _cmd_mobo(args) -> int:
     n = len(members)
     scorer = _scorer_for_members(config.scorer, members)
     try:
-        spec, standalone = _derive_windows_from_onehots(scorer, config.objectives, n, args.seed)
-        metric_sums = [
-            -np.inf if o.meta.failed else float(
-                sum(v for v, e in zip(o.normalized, spec.entries) if e.kind == "metric")
-            )
-            for o in standalone
-        ]
-        best_member_id = int(np.argmax(metric_sums))
+        spec, standalone, best_member_id = pl.derive_windows(scorer, config.objectives, n, args.seed)
         delta_star, state = pl.run_mobo(
             members,
             scorer,
@@ -390,7 +362,7 @@ def _cmd_scan(args) -> int:
         scorer.close()
     out_dir = os.path.dirname(os.path.abspath(args.out))
     os.makedirs(out_dir, exist_ok=True)
-    pl.atomic_write_text(args.out, "\n".join(lines) + "\n")
+    atomic_write(args.out, "\n".join(lines) + "\n")
     print(f"scan-surface: {len(lines) - 1} grid points in {args.out}")
     return 0
 

@@ -8,7 +8,7 @@ multi-objective reference point can always be the zero vector.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -182,26 +182,6 @@ class ObjectiveSpec:
 
 
 @dataclass(frozen=True)
-class NormalizedObjectives:
-    """A higher-is-better score vector in [0, 1]^K."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = _as_float_vector(self.values, "values")
-        if v.size == 0:
-            raise ValueError("empty objective vector")
-        if not np.all(np.isfinite(v)) or np.any(v < 0.0) or np.any(v > 1.0):
-            raise ValueError("normalized values must be finite and within [0, 1]")
-        v = v.copy()
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-@dataclass(frozen=True)
 class EvalMeta:
     seed: int
     eval_index: int
@@ -246,13 +226,6 @@ def normalize(raw: float, entry: ObjectiveEntry) -> float:
     return float(min(1.0, max(0.0, v)))
 
 
-def denormalize(value: float, entry: ObjectiveEntry) -> float:
-    """Inverse of :func:`normalize` on the interior of the window."""
-    if entry.direction == "maximize":
-        return entry.norm_min + value * entry.width
-    return entry.norm_max - value * entry.width
-
-
 def normalize_vector(raws, spec: ObjectiveSpec) -> np.ndarray:
     raws = _as_float_vector(raws, "raws")
     if raws.size != len(spec):
@@ -290,8 +263,6 @@ def derive_norm_bounds(trajectory_values, kind: str, direction: str) -> tuple[fl
 
 def scalarize_sum(normalized, spec: ObjectiveSpec, kinds: Sequence[str] = KINDS) -> float:
     """Sum of the normalized values whose entry kind is in `kinds`."""
-    if isinstance(normalized, NormalizedObjectives):
-        normalized = normalized.values
     v = _as_float_vector(normalized, "normalized")
     if v.size != len(spec):
         raise ValueError("value vector length does not match objective spec")

@@ -2,8 +2,9 @@
 
 Members are flat float64 weight vectors captured along one training
 trajectory. Fusion is a convex combination sum_i delta_i * w_i with delta on
-the simplex; the uniform, greedy, and learned baselines below are the
-reference points the optimized coefficients are compared against.
+the simplex. The greedy-soup and learned-SWA baselines below search
+coefficient space through a `delta -> value` callable, so the pipeline
+runs them against its scorer exactly as the tests run them against oracles.
 
 Checkpoints serialize as a raw little-endian float64 payload plus a JSON
 sidecar header, so external trainers can produce them from any stack.
@@ -147,17 +148,13 @@ def collection_schedule(total_steps: int, convergence_step: int, n: int = 15) ->
     return [int(s) for s in steps], False
 
 
-def _weighted_sum(weights_matrix: np.ndarray, delta: np.ndarray) -> np.ndarray:
-    return weights_matrix.T @ delta
-
-
 def fuse(members: MemberSet, delta: SimplexCoefficients | np.ndarray) -> np.ndarray:
     """Convex combination of member weights under simplex coefficients."""
     if not isinstance(delta, SimplexCoefficients):
         delta = SimplexCoefficients(np.asarray(delta, dtype=float))
     if len(delta) != len(members):
         raise ValueError("coefficient/member count mismatch")
-    return _weighted_sum(members.weights_matrix, delta.values)
+    return members.weights_matrix.T @ delta.values
 
 
 def fuse_uniform(members: MemberSet, subset: Sequence[int] | None = None) -> np.ndarray:
@@ -166,32 +163,40 @@ def fuse_uniform(members: MemberSet, subset: Sequence[int] | None = None) -> np.
     return fuse(ms, SimplexCoefficients.uniform(len(ms)))
 
 
+def pool_delta(n: int, ids: Sequence[int]) -> np.ndarray:
+    """Coefficients averaging the members in `ids` uniformly, zero elsewhere."""
+    d = np.zeros(n)
+    d[list(ids)] = 1.0 / len(ids)
+    return d
+
+
 def fuse_greedy(
-    members: MemberSet,
-    evaluate: Callable[[np.ndarray], float],
-    *,
-    keep_ties: bool = True,
+    singles: Sequence[float],
+    quality: Callable[[np.ndarray], float],
 ) -> tuple[list[int], np.ndarray]:
-    """Greedy soup: sort members by standalone quality (higher is better),
-    then grow the pool, keeping a member iff the pool average's quality does
-    not decrease (ties kept by default).
+    """Greedy soup (Wortsman et al., 2022) in coefficient space.
 
-    Returns (kept member ids in inclusion order, fused weights).
+    `singles[i]` is member i's standalone quality (higher is better, -inf
+    for a member that could not be scored). Members are tried in order of
+    decreasing standalone quality, ties to the lower id, and each one is kept
+    iff the uniform average of the pool with it scores at least the pool's
+    current quality. `quality(delta)` is called once per trial pool, n - 1
+    times; a trial it cannot score should return -inf, and is never kept.
+
+    Returns (kept member ids in inclusion order, their pool coefficients).
     """
-    singles = [(float(evaluate(m.weights)), m.id) for m in members.members]
-    if any(not math.isfinite(q) for q, _ in singles):
-        raise EvaluationFailedError("non-finite standalone quality")
-    order = sorted(range(len(singles)), key=lambda i: (-singles[i][0], singles[i][1]))
-    ids = [singles[i][1] for i in order]
-
-    kept = [ids[0]]
-    best_q = float(evaluate(fuse_uniform(members, kept)))
-    for mid in ids[1:]:
+    n = len(singles)
+    order = sorted(range(n), key=lambda i: (-singles[i], i))
+    kept = [order[0]]
+    best_q = float(singles[order[0]])
+    if not math.isfinite(best_q):
+        raise EvaluationFailedError("no finite standalone quality")
+    for mid in order[1:]:
         trial = kept + [mid]
-        q = float(evaluate(fuse_uniform(members, trial)))
-        if q > best_q or (keep_ties and q == best_q):
+        q = float(quality(pool_delta(n, trial)))
+        if q >= best_q:
             kept, best_q = trial, q
-    return kept, fuse_uniform(members, kept)
+    return kept, pool_delta(n, kept)
 
 
 def _project_nonneg_renorm(delta: np.ndarray, fallback: np.ndarray) -> np.ndarray:
@@ -203,22 +208,23 @@ def _project_nonneg_renorm(delta: np.ndarray, fallback: np.ndarray) -> np.ndarra
 
 
 def fuse_learned(
-    members: MemberSet,
+    n: int,
     loss: Callable[[np.ndarray], float],
     steps: int = 200,
     lr: float = 0.1,
-) -> tuple[SimplexCoefficients, np.ndarray]:
-    """Minimize loss(fuse(delta)) over the simplex by projected
-    finite-difference gradient descent (central differences, h = 1e-4).
+) -> SimplexCoefficients:
+    """Minimize loss(delta) over the n-member simplex by projected
+    finite-difference gradient descent from the uniform coefficients
+    (central differences, h = 1e-4, so `loss` is also called up to h off the
+    simplex).
 
-    Returns (coefficients, fused weights).
+    Raises EvaluationFailedError when the loss is non-finite at the start or
+    a gradient has a non-finite entry.
     """
     if steps < 0 or lr <= 0.0:
         raise ValueError("need steps >= 0 and lr > 0")
-    W = members.weights_matrix
-    n = len(members)
     delta = np.full(n, 1.0 / n)
-    if not math.isfinite(float(loss(_weighted_sum(W, delta)))):
+    if not math.isfinite(float(loss(delta))):
         raise EvaluationFailedError("loss is non-finite at the uniform initialization")
     for _ in range(steps):
         grad = np.empty(n)
@@ -227,14 +233,11 @@ def fuse_learned(
             dn = delta.copy()
             up[i] += FD_STEP
             dn[i] -= FD_STEP
-            grad[i] = (
-                float(loss(_weighted_sum(W, up))) - float(loss(_weighted_sum(W, dn)))
-            ) / (2.0 * FD_STEP)
+            grad[i] = (float(loss(up)) - float(loss(dn))) / (2.0 * FD_STEP)
         if not np.all(np.isfinite(grad)):
             raise EvaluationFailedError("non-finite finite-difference gradient")
         delta = _project_nonneg_renorm(delta - lr * grad, delta)
-    coeffs = SimplexCoefficients(delta / delta.sum())
-    return coeffs, _weighted_sum(W, coeffs.values)
+    return SimplexCoefficients(delta / delta.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -244,15 +247,15 @@ def _sidecar_path(path: str) -> str:
     return path + ".json"
 
 
-def _atomic_write_bytes(path: str, data: bytes) -> None:
+def atomic_write(path: str, data: bytes | str) -> None:
+    """Write through a sibling temp file and a rename, so readers see the old
+    file or the whole new one; text is written as UTF-8."""
+    if isinstance(data, str):
+        data = data.encode("utf-8")
     tmp = path + ".tmp"
     with open(tmp, "wb") as fh:
         fh.write(data)
     os.replace(tmp, path)
-
-
-def _atomic_write_text(path: str, text: str) -> None:
-    _atomic_write_bytes(path, text.encode("utf-8"))
 
 
 def save_checkpoint(weights, meta: dict, path: str) -> str:
@@ -271,9 +274,9 @@ def save_checkpoint(weights, meta: dict, path: str) -> str:
         "dtype": "f64",
         "endianness": "little",
     }
-    _atomic_write_bytes(path, w.tobytes())
+    atomic_write(path, w.tobytes())
     sidecar = _sidecar_path(path)
-    _atomic_write_text(sidecar, json.dumps(header, indent=1) + "\n")
+    atomic_write(sidecar, json.dumps(header, indent=1) + "\n")
     return sidecar
 
 
@@ -328,7 +331,7 @@ def save_member_set(members: MemberSet, out_dir: str, stem: str = "member") -> s
         rel_payloads.append(name)
     manifest = {"format": MANIFEST_FORMAT, "members": rel_payloads}
     path = os.path.join(out_dir, "manifest.json")
-    _atomic_write_text(path, json.dumps(manifest, indent=1) + "\n")
+    atomic_write(path, json.dumps(manifest, indent=1) + "\n")
     return path
 
 

@@ -269,8 +269,3 @@ def fit_gp(
     if best_theta is None or not math.isfinite(best_val):
         raise NumericalError("GP fit failed for every restart")
     return build_gp(X, y, _unpack(best_theta, d))
-
-
-def predict(model: GpModel, x) -> tuple[float, float]:
-    """Posterior predictive mean and std (noise included) at one point."""
-    return model.predict(x)

@@ -4,9 +4,12 @@ Stage 1 (run_hpbo) maximizes the summed normalized validation metrics over a
 hyperparameter box with a GP + log-EI loop. The pipeline then retrains once
 at the winning hyperparameters while the trainer collects fusion members
 along its trajectory, derives normalization windows from the members'
-standalone scores, and stage 2 (run_mobo) maximizes Monte-Carlo noisy
-hypervolume improvement over simplex fusion coefficients with one GP per
-objective.
+standalone scores (derive_windows), and stage 2 (run_mobo) maximizes
+Monte-Carlo noisy hypervolume improvement over simplex fusion coefficients
+with one GP per objective; MoboState.best_index records the selected point.
+fusion_baselines then scores uniform SWA, greedy soup (fusion.fuse_greedy)
+and learned SWA (fusion.fuse_learned) for the report. run_pipeline,
+run_demo_misalign and `bofusion mobo` share these functions.
 
 External trainers and scorers are separate processes speaking
 newline-delimited JSON on stdin/stdout:
@@ -28,11 +31,10 @@ import math
 import os
 import queue
 import subprocess
-import sys
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -55,7 +57,15 @@ from .errors import (
     ProtocolError,
     UsageError,
 )
-from .fusion import MemberSet, SimplexCoefficients
+from .fusion import (
+    MemberSet,
+    SimplexCoefficients,
+    atomic_write,
+    fuse,
+    fuse_greedy,
+    fuse_learned,
+    save_member_set,
+)
 from .gp import fit_gp
 from .pareto import ParetoFront, pareto_front
 from . import toybench
@@ -92,32 +102,6 @@ class SubprocessSpec:
 
 
 @dataclass(frozen=True)
-class EvaluatorHandle:
-    """Declarative evaluator description: how to reach it and which role it
-    will be asked to play."""
-
-    kind: str  # "in_process" | "subprocess"
-    role: str  # "trainer" | "scorer"
-    subprocess_spec: SubprocessSpec | None = None
-    target: object | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("in_process", "subprocess"):
-            raise ValueError(f"unknown evaluator kind {self.kind!r}")
-        if self.role not in ("trainer", "scorer"):
-            raise ValueError(f"unknown evaluator role {self.role!r}")
-        if self.kind == "subprocess" and self.subprocess_spec is None:
-            raise ValueError("subprocess handle needs a SubprocessSpec")
-        if self.kind == "in_process" and self.target is None:
-            raise ValueError("in-process handle needs a target object")
-
-    def connect(self) -> "_EvaluatorClient":
-        if self.kind == "subprocess":
-            return SubprocessEvaluator(self.subprocess_spec)
-        return InProcessEvaluator(self.target)
-
-
-@dataclass(frozen=True)
 class TrainerResult:
     objectives: dict[str, float]
     convergence_step: int | None
@@ -137,7 +121,7 @@ class _EvaluatorClient:
     def _request(self, payload: dict) -> dict:
         rid = self._next_id
         self._next_id += 1
-        reply = blackbox_roundtrip(self, {"id": rid, **payload})
+        reply = self.roundtrip({"id": rid, **payload})
         if not isinstance(reply, dict):
             raise ProtocolError("reply is not a JSON object")
         if reply.get("id") != rid:
@@ -166,8 +150,6 @@ class _EvaluatorClient:
 class InProcessEvaluator(_EvaluatorClient):
     """Wraps an object with .train(params) / .score(delta), presenting the
     same reply framing as a subprocess so both paths share one code path."""
-
-    kind = "in_process"
 
     def __init__(self, target):
         self.target = target
@@ -199,8 +181,6 @@ class SubprocessEvaluator(_EvaluatorClient):
     on the next request) so a late reply can never be matched against a
     newer request.
     """
-
-    kind = "subprocess"
 
     def __init__(self, spec: SubprocessSpec):
         self.spec = spec
@@ -267,12 +247,6 @@ class SubprocessEvaluator(_EvaluatorClient):
         return reply
 
 
-def blackbox_roundtrip(evaluator, request: dict) -> dict:
-    """Send one protocol request through an evaluator client, returning the
-    raw reply dict (unvalidated beyond JSON well-formedness)."""
-    return evaluator.roundtrip(request)
-
-
 # ---------------------------------------------------------------------------
 # Observation plumbing
 
@@ -298,6 +272,15 @@ def _observe_raws(x, raws_by_name, spec: ObjectiveSpec, seed, idx, t0) -> Observ
         normalized=normalized,
         meta=EvalMeta(seed, idx, int((time.monotonic() - t0) * 1000), failed=False),
     )
+
+
+def _score_or_none(scorer, delta, spec, seed, idx) -> Observation:
+    t0 = time.monotonic()
+    try:
+        raws = scorer.score(delta)
+        return _observe_raws(delta, raws, spec, seed, idx, t0)
+    except (EvaluationFailedError, ProtocolError):
+        return _failed_observation(delta, spec, seed, idx, t0)
 
 
 def _params_dict(space: BoundedParamSpace, x) -> dict:
@@ -407,29 +390,34 @@ class MoboState:
     seed: int
     n_iter: int
     best_member_id: int | None
+    best_index: int = field(init=False)
+
+    def __post_init__(self):
+        # delta*: the evaluated front point maximizing the summed normalized
+        # objectives, ties to the earliest evaluation; the whole history
+        # stands in when clipping emptied the front.
+        ids = list(self.front.ids) or [o.meta.eval_index for o in self.history]
+        self.best_index = max(
+            ids, key=lambda i: (scalarize_sum(self.history[i].normalized, self.spec), -i)
+        )
 
     @property
     def ref(self) -> np.ndarray:
         return np.zeros(len(self.spec))
 
+    @property
+    def best_delta(self) -> SimplexCoefficients:
+        x = self.history[self.best_index].x
+        return SimplexCoefficients(x / x.sum())
+
 
 def _initial_deltas(n: int, count: int, best_member_id, rng) -> list[np.ndarray]:
-    deltas = [np.full(n, 1.0 / n)]
-    if best_member_id is not None:
-        hot = np.zeros(n)
-        hot[int(best_member_id)] = 1.0
-        deltas.append(hot)
-        while len(deltas) < count:
-            deltas.append(rng.dirichlet(np.ones(n)))
-    else:
-        # Standalone qualities unknown: cover every one-hot so the best
-        # member is guaranteed to enter the history anyway.
-        for i in range(n):
-            hot = np.zeros(n)
-            hot[i] = 1.0
-            deltas.append(hot)
-        while len(deltas) < count:
-            deltas.append(rng.dirichlet(np.ones(n)))
+    # Without a best member id, cover every one-hot so the best member still
+    # enters the history.
+    hot_ids = range(n) if best_member_id is None else [int(best_member_id)]
+    deltas = [np.full(n, 1.0 / n)] + [np.eye(n)[i] for i in hot_ids]
+    while len(deltas) < count:
+        deltas.append(rng.dirichlet(np.ones(n)))
     return deltas[:count]
 
 
@@ -463,14 +451,7 @@ def run_mobo(
     history: list[Observation] = []
 
     def evaluate(delta):
-        t0 = time.monotonic()
-        idx = len(history)
-        try:
-            raws = scorer.score(delta)
-            obs = _observe_raws(delta, raws, spec, seed, idx, t0)
-        except (EvaluationFailedError, ProtocolError):
-            obs = _failed_observation(delta, spec, seed, idx, t0)
-        history.append(obs)
+        history.append(_score_or_none(scorer, delta, spec, seed, len(history)))
 
     for delta in _initial_deltas(n, n + 1, best_member_id, rng):
         evaluate(delta)
@@ -499,20 +480,7 @@ def run_mobo(
         ids=[o.meta.eval_index for o in history],
     )
     state = MoboState(n, spec, history, front, seed, n_iter, best_member_id)
-    return select_best_delta(state), state
-
-
-def select_best_delta(state: MoboState) -> SimplexCoefficients:
-    """The evaluated front point maximizing the summed normalized objectives
-    (ties to the earliest evaluation); falls back to the whole history when
-    clipping emptied the front."""
-    ids = list(state.front.ids) or [o.meta.eval_index for o in state.history]
-    best_id = max(
-        ids,
-        key=lambda i: (scalarize_sum(state.history[i].normalized, state.spec), -i),
-    )
-    x = state.history[best_id].x
-    return SimplexCoefficients(x / x.sum())
+    return state.best_delta, state
 
 
 # ---------------------------------------------------------------------------
@@ -544,6 +512,8 @@ class PipelineConfig:
             raise UsageError("pipeline objectives need exactly one loss entry")
         if not any(e.kind == "metric" for e in self.objectives.entries):
             raise UsageError("pipeline objectives need at least one metric entry")
+        if self.learned_steps < 0 or self.learned_lr <= 0.0:
+            raise UsageError("learned_swa needs steps >= 0 and lr > 0")
 
 
 def _parse_objective(entry: dict) -> ObjectiveEntry:
@@ -609,7 +579,7 @@ def load_config(path: str) -> PipelineConfig:
     return parse_config(data)
 
 
-def build_evaluator(block: dict, *, n_members: int | None = None, role: str = "scorer"):
+def build_evaluator(block: dict, *, n_members: int | None = None):
     """Construct an evaluator client from one config block.
 
     Subprocess form: {"cmd": ..., "args": [...], "env": {...}, "timeout_s": ...}
@@ -624,7 +594,7 @@ def build_evaluator(block: dict, *, n_members: int | None = None, role: str = "s
             env=tuple((str(k), str(v)) for k, v in block.get("env", {}).items()),
             timeout_s=float(block.get("timeout_s", DEFAULT_TIMEOUT_S)),
         )
-        return EvaluatorHandle("subprocess", role, subprocess_spec=spec).connect()
+        return SubprocessEvaluator(spec)
     builtin = block.get("builtin")
     if builtin == "toy":
         kwargs = {
@@ -651,7 +621,7 @@ def build_evaluator(block: dict, *, n_members: int | None = None, role: str = "s
         )
     else:
         raise UsageError(f"evaluator config needs 'cmd' or a known 'builtin', got {block!r}")
-    return EvaluatorHandle("in_process", role, target=target).connect()
+    return InProcessEvaluator(target)
 
 
 def _build_clients(config: PipelineConfig):
@@ -664,7 +634,7 @@ def _build_clients(config: PipelineConfig):
             raise UsageError(f"missing evaluator config for role {role!r}")
         key = json.dumps(block, sort_keys=True)
         if key not in cache:
-            cache[key] = build_evaluator(block, n_members=config.n_members, role=role)
+            cache[key] = build_evaluator(block, n_members=config.n_members)
         return cache[key]
 
     trainer = get(config.trainer, "trainer")
@@ -701,18 +671,11 @@ def write_history_csv(path: str, rows: Sequence[dict]) -> None:
     lines = [",".join(HISTORY_COLUMNS)]
     for row in rows:
         lines.append(",".join(str(row[c]) for c in HISTORY_COLUMNS))
-    atomic_write_text(path, "\n".join(lines) + "\n")
-
-
-def atomic_write_text(path: str, text: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    atomic_write(path, "\n".join(lines) + "\n")
 
 
 def write_json(path: str, payload: dict) -> None:
-    atomic_write_text(path, json.dumps(payload, indent=1, sort_keys=True) + "\n")
+    atomic_write(path, json.dumps(payload, indent=1, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -732,15 +695,6 @@ def _stage(name: str):
     return _Ctx()
 
 
-def _score_or_none(scorer, delta, spec, seed, idx):
-    t0 = time.monotonic()
-    try:
-        raws = scorer.score(delta)
-        return _observe_raws(delta, raws, spec, seed, idx, t0)
-    except (EvaluationFailedError, ProtocolError):
-        return _failed_observation(delta, spec, seed, idx, t0)
-
-
 def _method_row(spec: ObjectiveSpec, obs: Observation, delta=None, extra=None) -> dict:
     row = {
         "raw": {name: float(v) for name, v in zip(spec.names, obs.raw)},
@@ -755,27 +709,106 @@ def _method_row(spec: ObjectiveSpec, obs: Observation, delta=None, extra=None) -
     return row
 
 
-def _learned_delta(loss_of_delta: Callable[[np.ndarray], float], n: int, steps: int, lr: float) -> np.ndarray:
-    """Projected central finite-difference descent directly in delta space."""
-    h = 1e-4
-    delta = np.full(n, 1.0 / n)
-    if not math.isfinite(float(loss_of_delta(delta))):
-        raise EvaluationFailedError("loss non-finite at uniform initialization")
-    for _ in range(steps):
-        grad = np.empty(n)
-        for i in range(n):
-            up, dn = delta.copy(), delta.copy()
-            up[i] += h
-            dn[i] -= h
-            grad[i] = (float(loss_of_delta(up)) - float(loss_of_delta(dn))) / (2.0 * h)
-        if not np.all(np.isfinite(grad)):
-            raise EvaluationFailedError("non-finite finite-difference gradient")
-        trial = np.maximum(delta - lr * grad, 0.0)
-        s = trial.sum()
-        if s < 1e-12:
-            continue
-        delta = trial / s
-    return delta / delta.sum()
+def _metric_quality(obs: Observation, spec: ObjectiveSpec) -> float:
+    """Summed normalized metrics; -inf for a failed evaluation."""
+    return -math.inf if obs.meta.failed else scalarize_sum(obs.normalized, spec, ("metric",))
+
+
+def derive_windows(
+    scorer: _EvaluatorClient, spec0: ObjectiveSpec, n: int, seed: int
+) -> tuple[ObjectiveSpec, list[Observation], int]:
+    """Stage 2's objective spec from the members' standalone scores.
+
+    Scores the n one-hot coefficient vectors, derives each objective's
+    normalization window from the members that scored (derive_norm_bounds),
+    and re-normalizes the standalone scores under those windows. Returns
+    (windowed spec, standalone observations, best member id); the best member
+    has the highest summed normalized metric, ties to the lowest id. Raises
+    EvaluationFailedError only when every member fails.
+    """
+    standalone = [_score_or_none(scorer, np.eye(n)[i], spec0, seed, i) for i in range(n)]
+    ok = [o for o in standalone if not o.meta.failed]
+    if not ok:
+        raise EvaluationFailedError("every standalone member score failed")
+    entries = []
+    for k, entry in enumerate(spec0.entries):
+        lo, hi = derive_norm_bounds([float(o.raw[k]) for o in ok], entry.kind, entry.direction)
+        entries.append(ObjectiveEntry(entry.name, entry.direction, lo, hi, entry.kind))
+    spec = ObjectiveSpec(tuple(entries))
+    t0 = time.monotonic()
+    standalone = [
+        _failed_observation(o.x, spec, seed, i, t0) if o.meta.failed
+        else _observe_raws(o.x, dict(zip(spec.names, o.raw)), spec, seed, i, t0)
+        for i, o in enumerate(standalone)
+    ]
+    best_member_id = int(np.argmax([_metric_quality(o, spec) for o in standalone]))
+    return spec, standalone, best_member_id
+
+
+def fusion_baselines(
+    scorer: _EvaluatorClient,
+    standalone: Sequence[Observation],
+    mobo_state: MoboState,
+    *,
+    seed: int,
+    learned_steps: int,
+    learned_lr: float,
+) -> tuple[dict, list[Observation]]:
+    """Score the fixed fusion baselines and build the report's `methods` block.
+
+    Uniform SWA, greedy soup (fusion.fuse_greedy over the members' summed
+    normalized metrics) and learned SWA (fusion.fuse_learned on the loss
+    entry) are scored under stage 2's windowed spec. When the scorer fails
+    during learned SWA, the uniform coefficients stand in and the row says
+    `fallback_uniform`. best_member and mobo_fusion come from `standalone`
+    and the stage-2 state. Returns (methods, baseline observations in
+    scoring order); learned SWA's gradient probes are not observations.
+    """
+    spec = mobo_state.spec
+    n = mobo_state.n_members
+    best_id = mobo_state.best_member_id
+    loss_name = next(e.name for e in spec.entries if e.kind == "loss")
+    observed: list[Observation] = []
+    pools: dict[bytes, Observation] = {}
+
+    def observe(delta) -> Observation:
+        obs = _score_or_none(scorer, delta, spec, seed, len(observed))
+        observed.append(obs)
+        return obs
+
+    def pool_quality(delta) -> float:
+        obs = pools[delta.tobytes()] = observe(delta)
+        return _metric_quality(obs, spec)
+
+    def loss(delta) -> float:
+        try:
+            return float(scorer.score(delta)[loss_name])
+        except (EvaluationFailedError, ProtocolError):
+            return math.nan
+
+    uniform = np.full(n, 1.0 / n)
+    swa_obs = observe(uniform)
+    kept, greedy_delta = fuse_greedy([_metric_quality(o, spec) for o in standalone], pool_quality)
+    greedy_obs = standalone[kept[0]] if len(kept) == 1 else pools[greedy_delta.tobytes()]
+    try:
+        learned, learned_extra = fuse_learned(n, loss, learned_steps, learned_lr).values, {}
+    except EvaluationFailedError:
+        learned, learned_extra = uniform, {"fallback_uniform": True}
+    learned_obs = observe(learned)
+    chosen_obs = mobo_state.history[mobo_state.best_index]
+    methods = {
+        "best_member": _method_row(
+            spec, standalone[best_id], delta=np.eye(n)[best_id], extra={"member_id": best_id}
+        ),
+        "swa": _method_row(spec, swa_obs, delta=uniform),
+        "greedy_swa": _method_row(spec, greedy_obs, delta=greedy_delta, extra={"subset": sorted(kept)}),
+        "learned_swa": _method_row(spec, learned_obs, delta=learned, extra=learned_extra),
+        "mobo_fusion": _method_row(
+            spec, chosen_obs, delta=mobo_state.best_delta.values,
+            extra={"eval_index": int(chosen_obs.meta.eval_index)},
+        ),
+    }
+    return methods, observed
 
 
 def run_pipeline(config: PipelineConfig, seed: int, out_dir: str | None = None) -> dict:
@@ -817,34 +850,9 @@ def run_pipeline(config: PipelineConfig, seed: int, out_dir: str | None = None) 
                 raise EvaluationFailedError("trainer reported no convergence step")
 
         with _stage("windows"):
-            n = config.n_members
-            spec0 = config.objectives
-            standalone: list[Observation] = []
-            for i in range(n):
-                hot = np.zeros(n)
-                hot[i] = 1.0
-                standalone.append(_score_or_none(scorer, hot, spec0, seed, i))
-            ok = [o for o in standalone if not o.meta.failed]
-            if not ok:
-                raise EvaluationFailedError("every standalone member score failed")
-            entries = []
-            for k, entry in enumerate(spec0.entries):
-                values = [float(o.raw[k]) for o in ok]
-                lo, hi = derive_norm_bounds(values, entry.kind, entry.direction)
-                entries.append(ObjectiveEntry(entry.name, entry.direction, lo, hi, entry.kind))
-            mobo_spec = ObjectiveSpec(tuple(entries))
-            # Re-normalize standalone scores under the derived windows.
-            standalone = [
-                _observe_raws(o.x, dict(zip(spec0.names, o.raw)), mobo_spec, seed, i, time.monotonic())
-                if not o.meta.failed
-                else _failed_observation(o.x, mobo_spec, seed, i, time.monotonic())
-                for i, o in enumerate(standalone)
-            ]
-            metric_sums = [
-                -math.inf if o.meta.failed else scalarize_sum(o.normalized, mobo_spec, ("metric",))
-                for o in standalone
-            ]
-            best_member_id = int(np.argmax(metric_sums))
+            mobo_spec, standalone, best_member_id = derive_windows(
+                scorer, config.objectives, config.n_members, seed
+            )
         all_rows.extend(history_rows("members", standalone, row_base))
         row_base += len(standalone)
 
@@ -865,82 +873,11 @@ def run_pipeline(config: PipelineConfig, seed: int, out_dir: str | None = None) 
         row_base += len(mobo_state.history)
 
         with _stage("baselines"):
-            n = config.n_members
-            baseline_rows: list[Observation] = []
-
-            def score_tracked(delta):
-                obs = _score_or_none(scorer, delta, mobo_spec, seed, len(baseline_rows))
-                baseline_rows.append(obs)
-                return obs
-
-            uniform = np.full(n, 1.0 / n)
-            swa_obs = score_tracked(uniform)
-
-            # Greedy soup in coefficient space: sort members by standalone
-            # metric quality, grow the pool when the pool average's metric
-            # quality does not decrease.
-            def metric_q(obs):
-                return -math.inf if obs.meta.failed else scalarize_sum(obs.normalized, mobo_spec, ("metric",))
-
-            order = sorted(range(n), key=lambda i: (-metric_sums[i], i))
-            kept = [order[0]]
-
-            def subset_delta(ids):
-                d = np.zeros(n)
-                d[list(ids)] = 1.0 / len(ids)
-                return d
-
-            greedy_obs = standalone[order[0]]
-            greedy_q = metric_q(greedy_obs)
-            for mid in order[1:]:
-                trial_obs = score_tracked(subset_delta(kept + [mid]))
-                q = metric_q(trial_obs)
-                if q >= greedy_q and not trial_obs.meta.failed:
-                    kept, greedy_q, greedy_obs = kept + [mid], q, trial_obs
-
-            loss_idx = [k for k, e in enumerate(mobo_spec.entries) if e.kind == "loss"][0]
-
-            def loss_of_delta(d):
-                try:
-                    raws = scorer.score(d)
-                    return float(raws[mobo_spec.names[loss_idx]])
-                except (EvaluationFailedError, ProtocolError):
-                    return math.nan
-
-            ok_learned = True
-            try:
-                learned = _learned_delta(loss_of_delta, n, config.learned_steps, config.learned_lr)
-            except EvaluationFailedError:
-                ok_learned = False
-                learned = uniform
-            learned_obs = score_tracked(learned)
-
-            star_obs = mobo_state.history[
-                max(mobo_state.front.ids or [o.meta.eval_index for o in mobo_state.history],
-                    key=lambda i: (scalarize_sum(mobo_state.history[i].normalized, mobo_spec), -i))
-            ]
-
-            methods = {
-                "best_member": _method_row(
-                    mobo_spec, standalone[best_member_id],
-                    delta=np.eye(n)[best_member_id],
-                    extra={"member_id": best_member_id},
-                ),
-                "swa": _method_row(mobo_spec, swa_obs, delta=uniform),
-                "greedy_swa": _method_row(
-                    mobo_spec, greedy_obs, delta=subset_delta(kept), extra={"subset": sorted(kept)}
-                ),
-                "learned_swa": _method_row(
-                    mobo_spec, learned_obs, delta=learned,
-                    extra=({} if ok_learned else {"fallback_uniform": True}),
-                ),
-                "mobo_fusion": _method_row(
-                    mobo_spec, star_obs, delta=delta_star.values,
-                    extra={"eval_index": int(star_obs.meta.eval_index)},
-                ),
-            }
-        all_rows.extend(history_rows("baseline", baseline_rows, row_base))
-        row_base += len(baseline_rows)
+            methods, baseline_obs = fusion_baselines(
+                scorer, standalone, mobo_state, seed=seed,
+                learned_steps=config.learned_steps, learned_lr=config.learned_lr,
+            )
+        all_rows.extend(history_rows("baseline", baseline_obs, row_base))
     finally:
         for c in clients:
             c.close()
@@ -1003,85 +940,24 @@ def run_demo_misalign(
         toybench.LandscapeEvaluator(result.landscape, result.members)
     )
     rng = np.random.default_rng(seed)
-    n = n_members
-
     spec0 = ObjectiveSpec((
         ObjectiveEntry("loss", "minimize", 0.0, 1.0, "loss"),
         ObjectiveEntry("metric", "maximize", 0.0, 1.0, "metric"),
     ))
-    standalone0 = [
-        _score_or_none(scorer, np.eye(n)[i], spec0, seed, i) for i in range(n)
-    ]
-    if any(o.meta.failed for o in standalone0):
-        raise EvaluationFailedError("landscape standalone scoring failed")
-    entries = []
-    for k, entry in enumerate(spec0.entries):
-        values = [float(o.raw[k]) for o in standalone0]
-        lo, hi = derive_norm_bounds(values, entry.kind, entry.direction)
-        entries.append(ObjectiveEntry(entry.name, entry.direction, lo, hi, entry.kind))
-    spec = ObjectiveSpec(tuple(entries))
-    standalone = [
-        _observe_raws(o.x, dict(zip(spec.names, o.raw)), spec, seed, i, time.monotonic())
-        for i, o in enumerate(standalone0)
-    ]
-    best_member_id = int(result.certificate["best_single_id"])
-
+    spec, standalone, best_member_id = derive_windows(scorer, spec0, n_members, seed)
     delta_star, state = run_mobo(
         result.members,
         scorer,
         spec,
-        n_iter=iters_per_member * n,
+        n_iter=iters_per_member * n_members,
         seed=_child_seed(rng),
         best_member_id=best_member_id,
         acq_cfg=acq_cfg,
         gp_restarts=gp_restarts,
     )
-
-    uniform = np.full(n, 1.0 / n)
-    swa_obs = _score_or_none(scorer, uniform, spec, seed, 0)
-
-    def metric_q(obs):
-        return -math.inf if obs.meta.failed else scalarize_sum(obs.normalized, spec, ("metric",))
-
-    order = sorted(range(n), key=lambda i: (-metric_q(standalone[i]), i))
-    kept = [order[0]]
-    greedy_obs = standalone[order[0]]
-    greedy_q = metric_q(greedy_obs)
-
-    def subset_delta(ids):
-        d = np.zeros(n)
-        d[list(ids)] = 1.0 / len(ids)
-        return d
-
-    for mid in order[1:]:
-        trial = _score_or_none(scorer, subset_delta(kept + [mid]), spec, seed, 0)
-        q = metric_q(trial)
-        if q >= greedy_q and not trial.meta.failed:
-            kept, greedy_q, greedy_obs = kept + [mid], q, trial
-
-    learned = _learned_delta(
-        lambda d: float(scorer.score(d)["loss"]), n, learned_steps, learned_lr
+    methods, _ = fusion_baselines(
+        scorer, standalone, state, seed=seed, learned_steps=learned_steps, learned_lr=learned_lr
     )
-    learned_obs = _score_or_none(scorer, learned, spec, seed, 0)
-
-    star_obs = state.history[
-        max(state.front.ids or [o.meta.eval_index for o in state.history],
-            key=lambda i: (scalarize_sum(state.history[i].normalized, spec), -i))
-    ]
-
-    methods = {
-        "best_member": _method_row(
-            spec, standalone[best_member_id], delta=np.eye(n)[best_member_id],
-            extra={"member_id": best_member_id},
-        ),
-        "swa": _method_row(spec, swa_obs, delta=uniform),
-        "greedy_swa": _method_row(spec, greedy_obs, delta=subset_delta(kept), extra={"subset": sorted(kept)}),
-        "learned_swa": _method_row(spec, learned_obs, delta=learned),
-        "mobo_fusion": _method_row(
-            spec, star_obs, delta=delta_star.values,
-            extra={"eval_index": int(star_obs.meta.eval_index)},
-        ),
-    }
     report = {
         "schema": REPORT_SCHEMA,
         "seed": seed,
@@ -1105,8 +981,6 @@ def run_demo_misalign(
         rows += history_rows("mobo", state.history, len(rows), frozenset(state.front.ids))
         write_history_csv(os.path.join(out_dir, "history.csv"), rows)
         write_json(os.path.join(out_dir, "report.json"), report)
-        from .fusion import save_member_set
-
         save_member_set(result.members, os.path.join(out_dir, "members"))
         write_json(os.path.join(out_dir, "scorer.json"), {
             "builtin": "landscape",
@@ -1122,5 +996,40 @@ def run_demo_misalign(
             lines.append(
                 f"{name},{row['raw'].get('metric')!r},{row['raw'].get('loss')!r},{row['objective_sum']!r}"
             )
-        atomic_write_text(os.path.join(out_dir, "table.csv"), "\n".join(lines) + "\n")
+        atomic_write(os.path.join(out_dir, "table.csv"), "\n".join(lines) + "\n")
     return report
+
+
+# ---------------------------------------------------------------------------
+# Validation-overfitting ablation
+
+
+def overfit_gap(seed: int, variant: str, acq: AcqConfig) -> float:
+    """Validation F1 minus heldout F1 of the fused model stage 2 selects.
+
+    Members are 8 snapshots of a still-descending toy training run (lr 0.8,
+    40 steps) whose 48-point validation split makes F1 a noisy ranking. The
+    search runs on loss + F1 objectives ("multi") or on F1 alone ("single");
+    a larger gap means the selection overfit the validation split.
+    """
+    ev = toybench.ToyEvaluator(
+        seed=seed, n_members=8, n_val=48, p_pos=0.3,
+        separation=1.5, n_heldout=4096,
+    )
+    ev.train({"lr": 0.8, "steps": 40})
+    singles = [ev.score(np.eye(8)[i]) for i in range(8)]
+    loss_window = derive_norm_bounds([s["loss"] for s in singles], "loss", "minimize")
+    f1_window = derive_norm_bounds([s["f1"] for s in singles], "metric", "maximize")
+    entries = [ObjectiveEntry("f1", "maximize", *f1_window, "metric")]
+    if variant == "multi":
+        entries.insert(0, ObjectiveEntry("loss", "minimize", *loss_window, "loss"))
+    delta, _ = run_mobo(
+        ev.members, InProcessEvaluator(ev), ObjectiveSpec(tuple(entries)),
+        seed=seed, best_member_id=int(np.argmax([s["f1"] for s in singles])),
+        acq_cfg=acq, gp_restarts=2,
+    )
+    fused = fuse(ev.members, delta)
+    return (
+        toybench.score_fused(ev.task, fused, "val")["f1"]
+        - toybench.score_fused(ev.task, fused, "heldout")["f1"]
+    )

@@ -21,7 +21,6 @@ from bofusion.core import (
     ObjectiveEntry,
     ObjectiveSpec,
     ParamDim,
-    derive_norm_bounds,
 )
 from bofusion.fusion import (
     Member,
@@ -39,13 +38,13 @@ from bofusion.pipeline import (
     InProcessEvaluator,
     SubprocessEvaluator,
     SubprocessSpec,
+    overfit_gap,
     parse_config,
     run_demo_misalign,
     run_hpbo,
     run_mobo,
     run_pipeline,
 )
-from bofusion.toybench import ToyEvaluator, score_fused
 
 import conftest
 from conftest import FAULT_EVALUATOR, PYTHON
@@ -342,7 +341,11 @@ def test_criterion_5_fusion_baselines_match_brute_force():
                           fuse(ms5.subset([0, 2]), SimplexCoefficients.uniform(2)))
     schedule, short = collection_schedule(250, 100, 15)
     assert schedule[0] == 50 and schedule[-1] == 200 and len(schedule) == 15 and not short
-    delta, fused = fuse_learned(ms, lambda w: float((w[0] - 2.0) ** 2), steps=500, lr=0.1)
+    # finite differences probe off the simplex, so the loss blends raw weights
+    delta = fuse_learned(
+        2, lambda d: float(((ms.weights_matrix.T @ d)[0] - 2.0) ** 2), steps=500, lr=0.1
+    )
+    fused = fuse(ms, delta)
     assert delta.values[1] == pytest.approx(1.0, abs=1e-2)
     assert fused[0] == pytest.approx(2.0, abs=2e-2)
 
@@ -354,23 +357,30 @@ def test_criterion_5_fusion_baselines_match_brute_force():
         members = _member_set(rng.standard_normal((n, 3)))
         target = rng.standard_normal(3)
 
-        def quality(w):
-            return -float(np.sum((w - target) ** 2))
+        # one delta -> quality callable feeds both the table and greedy
+        def quality(delta):
+            return -float(np.sum((fuse(members, delta) - target) ** 2))
+
+        def uniform_over(ids):
+            d = np.zeros(n)
+            d[list(ids)] = 1.0 / len(ids)
+            return d
 
         table = {}
         for r in range(1, n + 1):
             for combo in itertools.combinations(range(n), r):
-                table[frozenset(combo)] = quality(fuse_uniform(members, list(combo)))
+                table[frozenset(combo)] = quality(uniform_over(combo))
         singles = [table[frozenset([i])] for i in range(n)]
 
-        kept, fused_w = fuse_greedy(members, quality)
+        kept, delta = fuse_greedy(singles, quality)
         want_kept, want_q = _greedy_replay(table, singles)
-        same = sorted(kept) == sorted(want_kept) and np.array_equal(
-            fused_w, fuse_uniform(members, kept)
+        same = sorted(kept) == sorted(want_kept) and np.array_equal(delta, uniform_over(kept))
+        same = same and np.allclose(
+            fuse(members, delta), fuse_uniform(members, kept), rtol=0.0, atol=1e-12
         )
         # greedy never falls below the best standalone member
-        same = same and quality(fused_w) >= max(singles) - 1e-12
-        same = same and quality(fused_w) == pytest.approx(want_q, abs=1e-12)
+        same = same and quality(delta) >= max(singles) - 1e-12
+        same = same and quality(delta) == pytest.approx(want_q, abs=1e-12)
         mismatches += 0 if same else 1
     elapsed = time.monotonic() - t0
     ok = mismatches == 0 and elapsed < 30.0
@@ -430,38 +440,8 @@ def test_criterion_7_multiobjective_reduces_validation_overfitting():
     t0 = time.monotonic()
     gaps = {"multi": [], "single": []}
     for seed in range(10):
-        ev = ToyEvaluator(
-            seed=seed, n_members=8, n_val=48, p_pos=0.3,
-            separation=1.5, n_heldout=4096,
-        )
-        ev.train({"lr": 0.8, "steps": 40})
-        singles = [ev.score(np.eye(8)[i]) for i in range(8)]
-        loss_window = derive_norm_bounds(
-            [s["loss"] for s in singles], "loss", "minimize"
-        )
-        f1_window = derive_norm_bounds(
-            [s["f1"] for s in singles], "metric", "maximize"
-        )
-        best_id = int(np.argmax([s["f1"] for s in singles]))
-        specs = {
-            "multi": ObjectiveSpec((
-                ObjectiveEntry("loss", "minimize", *loss_window, "loss"),
-                ObjectiveEntry("f1", "maximize", *f1_window, "metric"),
-            )),
-            "single": ObjectiveSpec((
-                ObjectiveEntry("f1", "maximize", *f1_window, "metric"),
-            )),
-        }
-        for name, spec in specs.items():
-            delta, _ = run_mobo(
-                ev.members, InProcessEvaluator(ev), spec, seed=seed,
-                best_member_id=best_id, acq_cfg=CHEAP, gp_restarts=2,
-            )
-            w = fuse(ev.members, delta)
-            gaps[name].append(
-                score_fused(ev.task, w, "val")["f1"]
-                - score_fused(ev.task, w, "heldout")["f1"]
-            )
+        for name in gaps:
+            gaps[name].append(overfit_gap(seed, name, CHEAP))
     mean_multi = float(np.mean(gaps["multi"]))
     mean_single = float(np.mean(gaps["single"]))
     elapsed = time.monotonic() - t0

@@ -7,12 +7,10 @@ from hypothesis import given, strategies as st
 from bofusion.core import (
     BoundedParamSpace,
     EvalMeta,
-    NormalizedObjectives,
     Observation,
     ObjectiveEntry,
     ObjectiveSpec,
     ParamDim,
-    denormalize,
     derive_norm_bounds,
     normalize,
     normalize_vector,
@@ -124,13 +122,6 @@ class TestNormalize:
         lo, hi = min(a, b), max(a, b)
         assert normalize(lo, e) >= normalize(hi, e)
 
-    @given(st.floats(0.0, 1.0))
-    def test_roundtrip_identity_inside_window(self, t):
-        for e in (metric_entry(0.2, 0.3), loss_entry(1.5, 2.5)):
-            raw = e.norm_min + t * (e.norm_max - e.norm_min)
-            n = normalize(raw, e)
-            assert denormalize(n, e) == pytest.approx(raw, abs=1e-12)
-
     def test_normalize_vector_matches_entries(self):
         spec = ObjectiveSpec((loss_entry(0.0, 1.0), metric_entry(0.5, 0.6)))
         v = normalize_vector([0.25, 0.58], spec)
@@ -229,9 +220,3 @@ class TestObservation:
             obs.x[0] = 1.0
         with pytest.raises(ValueError):
             obs.normalized[0] = 1.0
-
-    def test_normalized_objectives_validated(self):
-        with pytest.raises(ValueError):
-            NormalizedObjectives(np.array([1.2]))
-        with pytest.raises(ValueError):
-            NormalizedObjectives(np.array([float("nan")]))

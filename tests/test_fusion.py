@@ -187,16 +187,27 @@ class TestFuse:
 # fuse_greedy with an exhaustive oracle
 
 
-def greedy_oracle(vectors, quality):
+def on_weights(ms, quality_of_weights):
+    """A delta -> value callable that scores the blended member weights
+    (also off the simplex, where finite differences probe)."""
+    W = ms.weights_matrix
+    return lambda d: quality_of_weights(W.T @ np.asarray(d, dtype=float))
+
+
+def one_hot_qualities(n, quality):
+    return [quality(np.eye(n)[i]) for i in range(n)]
+
+
+def greedy_oracle(n, quality):
     """Definitional greedy replay over an exhaustively precomputed
     subset-quality table (independent of the library implementation)."""
-    n = len(vectors)
     table = {}
     for r in range(1, n + 1):
         for combo in itertools.combinations(range(n), r):
-            avg = np.mean([vectors[i] for i in combo], axis=0)
-            table[combo] = quality(avg)
-    singles = [quality(np.asarray(v, dtype=float)) for v in vectors]
+            d = np.zeros(n)
+            d[list(combo)] = 1.0 / r
+            table[combo] = quality(d)
+    singles = [table[(i,)] for i in range(n)]
     order = sorted(range(n), key=lambda i: (-singles[i], i))
     kept = [order[0]]
     best = table[tuple(sorted(kept))]
@@ -210,25 +221,25 @@ def greedy_oracle(vectors, quality):
 
 class TestFuseGreedy:
     def test_identical_members_keep_all(self):
-        ms = member_set([[2.0, 2.0]] * 4)
-        kept, fused = fuse_greedy(ms, lambda w: 1.0)
+        kept, delta = fuse_greedy([1.0] * 4, lambda d: 1.0)
         assert sorted(kept) == [0, 1, 2, 3]
-        assert np.allclose(fused, [2.0, 2.0])
+        assert np.array_equal(delta, np.full(4, 0.25))
 
     def test_single_good_member(self):
         ms = member_set([[0.0], [10.0], [-10.0]])
-        kept, fused = fuse_greedy(ms, lambda w: -float((w[0] - 0.0) ** 2))
+        quality = on_weights(ms, lambda w: -float((w[0] - 0.0) ** 2))
+        kept, delta = fuse_greedy(one_hot_qualities(3, quality), quality)
         assert kept == [0]
-        assert fused[0] == pytest.approx(0.0)
+        assert fuse(ms, delta)[0] == pytest.approx(0.0)
 
     def test_three_member_worked_instance(self):
         ms = member_set([[0.0], [1.0], [2.0]])
-        quality = lambda w: -float((w[0] - 1.0) ** 2)
-        kept, fused = fuse_greedy(ms, quality)
-        assert sorted(kept) == greedy_oracle([[0.0], [1.0], [2.0]], quality)
-        # member 1 is kept first; 0 and 2 both join because each step's
-        # running average stays at quality 0 (ties kept by default)
-        assert fused[0] == pytest.approx(1.0)
+        quality = on_weights(ms, lambda w: -float((w[0] - 1.0) ** 2))
+        kept, delta = fuse_greedy(one_hot_qualities(3, quality), quality)
+        assert sorted(kept) == greedy_oracle(3, quality)
+        # member 1 leads; averaging in member 0 or 2 moves the pool off 1.0,
+        # so neither joins
+        assert fuse(ms, delta)[0] == pytest.approx(1.0)
 
     def test_matches_exhaustive_oracle_randomized(self):
         rng = np.random.default_rng(11)
@@ -237,25 +248,31 @@ class TestFuseGreedy:
             dim = int(rng.integers(1, 4))
             vectors = rng.standard_normal((n, dim))
             target = rng.standard_normal(dim)
-
-            def quality(w):
-                return -float(np.sum((w - target) ** 2))
-
             ms = member_set(vectors)
-            kept, fused = fuse_greedy(ms, quality)
-            assert sorted(kept) == greedy_oracle(list(vectors), quality), f"trial {trial}"
-            assert np.allclose(fused, np.mean(vectors[sorted(kept)], axis=0))
-
-    def test_strict_mode_drops_ties(self):
-        ms = member_set([[1.0], [1.0]])
-        kept, _ = fuse_greedy(ms, lambda w: 0.0, keep_ties=False)
-        assert kept == [0]
+            quality = on_weights(ms, lambda w: -float(np.sum((w - target) ** 2)))
+            kept, delta = fuse_greedy(one_hot_qualities(n, quality), quality)
+            assert sorted(kept) == greedy_oracle(n, quality), f"trial {trial}"
+            assert np.allclose(fuse(ms, delta), np.mean(vectors[sorted(kept)], axis=0))
 
     def test_sort_is_by_quality_then_id(self):
-        ms = member_set([[5.0], [1.0], [3.0]])
         seen = []
-        kept, _ = fuse_greedy(ms, lambda w: (seen.append(w[0]), -abs(w[0] - 1.0))[1])
-        assert kept[0] == 1  # the member closest to 1 leads the ordering
+        kept, _ = fuse_greedy([0.5, 0.7, 0.7], lambda d: (seen.append(d.copy()), -1.0)[1])
+        assert kept == [1]
+        # one call per trial pool: member 2 (tied with 1, higher id), then 0
+        assert [list(np.flatnonzero(d)) for d in seen] == [[1, 2], [0, 1]]
+
+    def test_failed_trial_is_left_out(self):
+        # member 1's trial fails; member 0 could not be scored at all and is
+        # tried last
+        kept, delta = fuse_greedy(
+            [-math.inf, 0.5, 0.5, 0.5], lambda d: -math.inf if d[2] > 0 else 0.5
+        )
+        assert kept == [1, 3, 0]
+        assert np.array_equal(delta, [1.0 / 3.0, 1.0 / 3.0, 0.0, 1.0 / 3.0])
+
+    def test_no_finite_standalone_quality_rejected(self):
+        with pytest.raises(EvaluationFailedError):
+            fuse_greedy([-math.inf, -math.inf], lambda d: 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -264,36 +281,32 @@ class TestFuseGreedy:
 
 class TestFuseLearned:
     def test_constant_loss_keeps_uniform(self):
-        ms = member_set([[0.0], [1.0], [2.0]])
-        delta, fused = fuse_learned(ms, lambda w: 1.0, steps=50, lr=0.1)
+        delta = fuse_learned(3, lambda d: 1.0, steps=50, lr=0.1)
         assert np.allclose(delta.values, 1.0 / 3.0)
 
     def test_two_member_descent(self):
         ms = member_set([[0.0], [2.0]])
-        delta, fused = fuse_learned(ms, lambda w: float((w[0] - 2.0) ** 2), steps=500, lr=0.1)
+        delta = fuse_learned(2, on_weights(ms, lambda w: float((w[0] - 2.0) ** 2)), steps=500, lr=0.1)
         assert delta.values[1] == pytest.approx(1.0, abs=1e-2)
-        assert fused[0] == pytest.approx(2.0, abs=2e-2)
+        assert fuse(ms, delta)[0] == pytest.approx(2.0, abs=2e-2)
 
     def test_initial_optimum_is_stable(self):
         ms = member_set([[0.0], [1.0], [2.0]])
         center = fuse_uniform(ms)
-
-        def loss(w):
-            return float(np.sum((w - center) ** 2))
-
-        delta, _ = fuse_learned(ms, loss, steps=100, lr=0.1)
+        delta = fuse_learned(3, on_weights(ms, lambda w: float(np.sum((w - center) ** 2))),
+                             steps=100, lr=0.1)
         assert np.allclose(delta.values, 1.0 / 3.0, atol=1e-6)
 
     def test_non_finite_initial_loss_rejected(self):
-        ms = member_set([[0.0], [1.0]])
         with pytest.raises(EvaluationFailedError):
-            fuse_learned(ms, lambda w: float("nan"), steps=10, lr=0.1)
+            fuse_learned(2, lambda d: float("nan"), steps=10, lr=0.1)
 
     def test_result_on_simplex(self):
         rng = np.random.default_rng(12)
         ms = member_set(rng.standard_normal((4, 3)))
         target = rng.standard_normal(3)
-        delta, _ = fuse_learned(ms, lambda w: float(np.sum((w - target) ** 2)), steps=100, lr=0.2)
+        delta = fuse_learned(4, on_weights(ms, lambda w: float(np.sum((w - target) ** 2))),
+                             steps=100, lr=0.2)
         assert np.all(delta.values >= 0)
         assert delta.values.sum() == pytest.approx(1.0, abs=1e-9)
 

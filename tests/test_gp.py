@@ -15,7 +15,6 @@ from bofusion.gp import (
     fit_gp,
     log_marginal_likelihood,
     matern52,
-    predict,
 )
 
 
@@ -123,7 +122,7 @@ class TestPredict:
         X = np.array([[0.4]])
         y = np.array([2.0])
         model = build_gp(X, y, KernelParams(np.array([0.5]), 1.0, 0.0))
-        mu, sigma = predict(model, np.array([0.4]))
+        mu, sigma = model.predict(np.array([0.4]))
         assert mu == pytest.approx(2.0, abs=1e-6)
         assert sigma <= 1e-4
 
@@ -133,7 +132,7 @@ class TestPredict:
         sf2, sn2 = 1.0, 0.01
         model = build_gp(np.array([[0.4]]), np.array([2.0]),
                          KernelParams(np.array([0.5]), sf2, sn2))
-        mu, sigma = predict(model, np.array([0.4]))
+        mu, sigma = model.predict(np.array([0.4]))
         assert mu == pytest.approx(2.0, abs=1e-9)
         want = math.sqrt(sf2 * sn2 / (sf2 + sn2) + sn2)
         assert sigma == pytest.approx(want, rel=1e-9)
@@ -143,7 +142,7 @@ class TestPredict:
         y = np.full(6, 3.7)
         model = build_gp(X, y, KernelParams(np.array([0.5]), 1.0, 1e-6))
         for xq in (0.05, 0.51, 0.99):
-            mu, _ = predict(model, np.array([xq]))
+            mu, _ = model.predict(np.array([xq]))
             assert mu == pytest.approx(3.7, abs=1e-6)
 
     def test_noise_free_interpolation(self):
@@ -152,7 +151,7 @@ class TestPredict:
         y = np.sin(6.0 * X[:, 0])
         model = build_gp(X, y, KernelParams(np.array([0.4]), 1.0, 0.0))
         for i in range(8):
-            mu, sigma = predict(model, X[i])
+            mu, sigma = model.predict(X[i])
             assert mu == pytest.approx(y[i], abs=1e-6)
             assert sigma <= 1e-4
 
@@ -170,7 +169,7 @@ class TestPredict:
         X = np.array([[0.0]])
         y = np.array([5.0])
         model = build_gp(X, y, p)
-        mu, sigma = predict(model, np.array([50.0]))
+        mu, sigma = model.predict(np.array([50.0]))
         assert mu == pytest.approx(model.y_mean, rel=0.01)
         # prediction std reverts to sqrt(signal + noise) on the standardized
         # scale; y_scale de-standardizes it
@@ -185,7 +184,7 @@ class TestPredict:
         xq = np.array([0.5])
         # direct 2x2 solve on the standardized problem
         mu_want, sigma_want = dense_predict(X, y, p, xq[None])
-        mu, sigma = predict(model, xq)
+        mu, sigma = model.predict(xq)
         assert mu == pytest.approx(float(mu_want[0]), abs=1e-8)
         assert sigma == pytest.approx(float(sigma_want[0]), abs=1e-8)
 
@@ -207,7 +206,7 @@ class TestPredict:
         X, y = random_dataset(rng, 12, 1)
         model = fit_gp(X, y, seed=1, restarts=2)
         x = np.array([0.3])
-        assert predict(model, x) == predict(model, x)
+        assert model.predict(x) == model.predict(x)
 
     def test_variance_shrinks_with_noise_free_point_at_query(self):
         rng = np.random.default_rng(8)
@@ -215,11 +214,11 @@ class TestPredict:
         p = KernelParams(np.array([0.5]), 1.0, 0.0)
         xq = np.array([0.77])
         base = build_gp(X, y, p)
-        _, s_before = predict(base, xq)
+        _, s_before = base.predict(xq)
         X2 = np.vstack([X, xq[None]])
         y2 = np.append(y, 0.5)
         dense = build_gp(X2, y2, p)
-        _, s_after = predict(dense, xq)
+        _, s_after = dense.predict(xq)
         assert s_after <= s_before + 1e-9
 
 
@@ -301,8 +300,8 @@ class TestLml:
         m1 = fit_gp(X, y, seed=2, restarts=4)
         m2 = fit_gp(X, a * y + b, seed=2, restarts=4)
         for xq in (np.array([0.1]), np.array([0.6])):
-            mu1, s1 = predict(m1, xq)
-            mu2, s2 = predict(m2, xq)
+            mu1, s1 = m1.predict(xq)
+            mu2, s2 = m2.predict(xq)
             assert mu2 == pytest.approx(a * mu1 + b, rel=1e-9, abs=1e-9)
             assert s2 == pytest.approx(abs(a) * s1, rel=1e-9, abs=1e-12)
 
@@ -326,7 +325,7 @@ class TestLml:
         y = np.array([1.0, 1.0, 1.0])
         model = build_gp(X, y, KernelParams(np.array([0.5]), 1.0, 0.0))
         assert model.jitter > 0
-        mu, _ = predict(model, np.array([0.5]))
+        mu, _ = model.predict(np.array([0.5]))
         assert mu == pytest.approx(1.0, abs=1e-6)
 
     def test_shape_mismatch_rejected(self):

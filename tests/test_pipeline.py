@@ -27,16 +27,17 @@ from bofusion.pipeline import (
     MoboState,
     SubprocessEvaluator,
     SubprocessSpec,
-    blackbox_roundtrip,
     build_evaluator,
+    derive_windows,
+    fusion_baselines,
     history_rows,
     load_config,
     parse_config,
     run_hpbo,
     run_mobo,
     run_pipeline,
-    select_best_delta,
 )
+from bofusion import toybench
 from bofusion.toybench import LandscapeEvaluator, ToyEvaluator
 
 from conftest import FAULT_EVALUATOR, PYTHON
@@ -113,7 +114,7 @@ class TestInProcessProtocol:
 
     def test_unknown_role_rejected(self):
         client = InProcessEvaluator(object())
-        reply = blackbox_roundtrip(client, {"id": 0, "role": "oracle"})
+        reply = client.roundtrip({"id": 0, "role": "oracle"})
         assert reply["ok"] is False
 
 
@@ -352,7 +353,7 @@ class TestSelectBestDelta:
             [[0.6, 0.6], [0.3, 0.6], [0.9, 0.6]],
             xs=[[0.5, 0.5], [0.2, 0.8], [0.7, 0.3]],
         )
-        got = select_best_delta(state)
+        got = state.best_delta
         assert np.allclose(got.values, [0.7, 0.3])
 
     def test_sum_tie_goes_to_earliest(self):
@@ -360,16 +361,16 @@ class TestSelectBestDelta:
             [[0.5, 0.7], [0.7, 0.5]],
             xs=[[0.4, 0.6], [0.6, 0.4]],
         )
-        got = select_best_delta(state)
+        got = state.best_delta
         assert np.allclose(got.values, [0.4, 0.6])
 
     def test_single_evaluation(self):
         state = make_state([[0.5, 0.5]], xs=[[1.0, 0.0]])
-        assert np.allclose(select_best_delta(state).values, [1.0, 0.0])
+        assert np.allclose(state.best_delta.values, [1.0, 0.0])
 
     def test_renormalizes_off_simplex_x(self):
         state = make_state([[0.5, 0.5]], xs=[[0.5, 0.3]])
-        got = select_best_delta(state)
+        got = state.best_delta
         assert got.values.sum() == pytest.approx(1.0)
         assert np.allclose(got.values, [0.625, 0.375])
 
@@ -531,6 +532,11 @@ class TestConfig:
         with pytest.raises(UsageError):
             parse_config({"objectives": TOY_CONFIG["objectives"]})
 
+    def test_learned_swa_settings_validated(self):
+        for learned in ({"steps": -1}, {"lr": 0.0}):
+            with pytest.raises(UsageError, match="learned_swa"):
+                parse_config({**TOY_CONFIG, "learned_swa": learned})
+
     def test_load_config_missing_file(self, tmp_path):
         with pytest.raises(UsageError, match="not found"):
             load_config(str(tmp_path / "absent.json"))
@@ -648,3 +654,101 @@ class TestRunPipeline:
             run_pipeline(cfg, seed=0)
         assert err.value.stage == "hpbo"
         assert isinstance(err.value.__cause__, EvaluationFailedError)
+
+
+class OnSimplexToy(ToyEvaluator):
+    """A toy scorer that, like most real ones, refuses off-simplex deltas."""
+
+    def score(self, delta):
+        d = np.asarray(delta, dtype=float)
+        if np.any(d < 0.0) or abs(d.sum() - 1.0) > 1e-9:
+            raise EvaluationFailedError("off-simplex delta")
+        return super().score(delta)
+
+
+class CountingToy(ToyEvaluator):
+    """Logs (evaluator seed, params) for every trainer call."""
+
+    calls: list = []
+
+    def train(self, params):
+        CountingToy.calls.append((self.seed, dict(params)))
+        return super().train(params)
+
+
+class TestFusionStage:
+    def test_learned_swa_falls_back_to_uniform(self, monkeypatch):
+        monkeypatch.setattr(toybench, "ToyEvaluator", OnSimplexToy)
+        report = run_pipeline(parse_config(TOY_CONFIG), seed=7)
+        row = report["methods"]["learned_swa"]
+        assert row["fallback_uniform"] is True
+        assert row["delta"] == [1.0 / 3.0] * 3
+        assert not row["failed"]
+        assert "fallback_uniform" not in report["methods"]["swa"]
+
+    def test_greedy_leaves_out_a_failed_trial_pool(self):
+        class PoolScorer:
+            """Flat scores; refuses the pool of members 0 and 1."""
+
+            def score(self, delta):
+                if np.array_equal(np.asarray(delta), [0.5, 0.5, 0.0]):
+                    raise EvaluationFailedError("pool refused")
+                return {"loss": 0.5, "metric": 0.5}
+
+        scorer = InProcessEvaluator(PoolScorer())
+        spec, standalone, best_id = derive_windows(scorer, LOSS_METRIC_SPEC, 3, seed=0)
+        assert best_id == 0  # all members tie
+        _, state = run_mobo(3, scorer, spec, n_iter=0, seed=0, best_member_id=best_id,
+                            acq_cfg=CHEAP, gp_restarts=2)
+        methods, observed = fusion_baselines(
+            scorer, standalone, state, seed=0, learned_steps=2, learned_lr=0.1
+        )
+        greedy = methods["greedy_swa"]
+        assert greedy["subset"] == [0, 2]
+        assert greedy["delta"] == [0.5, 0.0, 0.5]
+        assert not greedy["failed"]
+        # SWA, the two greedy trials, learned SWA; only the refused trial failed
+        assert [o.meta.failed for o in observed] == [False, True, False, False]
+        assert "fallback_uniform" not in methods["learned_swa"]
+
+    def test_windows_survive_a_failed_member(self):
+        class Scorer:
+            def score(self, delta):
+                d = np.asarray(delta)
+                if d[0] == 1.0:
+                    raise EvaluationFailedError("member 0 diverged")
+                return {"loss": 1.0 - 0.1 * d[2], "metric": 0.4 + 0.05 * d[2]}
+
+        spec, standalone, best_id = derive_windows(
+            InProcessEvaluator(Scorer()), LOSS_METRIC_SPEC, 3, seed=0
+        )
+        assert [o.meta.failed for o in standalone] == [True, False, False]
+        assert best_id == 2
+        assert spec.entries[1].norm_min == 0.4  # anchored at member 2, not the failure
+
+    def test_every_member_failing_raises(self):
+        class Dead:
+            def score(self, delta):
+                raise EvaluationFailedError("nope")
+
+        with pytest.raises(EvaluationFailedError):
+            derive_windows(InProcessEvaluator(Dead()), LOSS_METRIC_SPEC, 3, seed=0)
+
+    def test_proxy_trainer_runs_stage_one(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(toybench, "ToyEvaluator", CountingToy)
+        monkeypatch.setattr(CountingToy, "calls", [])
+        cfg = parse_config({
+            **TOY_CONFIG,
+            "proxy_trainer": {"builtin": "toy", "seed": 12, "n_members": 3},
+        })
+        report = run_pipeline(cfg, seed=7, out_dir=str(tmp_path))
+        proxy = [p for seed, p in CountingToy.calls if seed == 12]
+        main = [p for seed, p in CountingToy.calls if seed == 11]
+        assert len(proxy) == cfg.n_init + cfg.hpbo_iters
+        assert main == [report["best_lambda"]]  # only the retrain
+        lines = (tmp_path / "history.csv").read_text().strip().split("\n")[1:]
+        rows = [dict(zip(HISTORY_COLUMNS, ln.split(","))) for ln in lines]
+        hpbo = [r for r in rows if r["stage"] == "hpbo"]
+        assert [float(r["x"]) for r in hpbo] == [p["lr"] for p in proxy]
+        incumbent = next(r for r in hpbo if r["on_front"] == "1")
+        assert float(incumbent["x"]) == report["best_lambda"]["lr"]
