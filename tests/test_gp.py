@@ -2,18 +2,19 @@ import math
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize
 
-from bofusion.errors import NumericalError
+from bofusion import gp
 from bofusion.gp import (
-    GpModel,
     KernelParams,
     LENGTHSCALE_BOUNDS,
     NOISE_VAR_BOUNDS,
     SIGNAL_VAR_BOUNDS,
+    _neg_log_posterior,
+    _standardize,
     build_gp,
     fit_gp,
     log_marginal_likelihood,
+    log_prior,
     matern52,
 )
 
@@ -53,6 +54,10 @@ def dense_lml(X, y, params):
     return float(
         -0.5 * ys @ np.linalg.solve(K, ys) - 0.5 * logdet - 0.5 * len(y) * math.log(2 * math.pi)
     )
+
+
+def log_posterior(X, y, params):
+    return log_marginal_likelihood(build_gp(X, y, params)) + log_prior(params)
 
 
 def random_dataset(rng, n, d):
@@ -264,12 +269,12 @@ class TestLml:
         rng = np.random.default_rng(11)
         X, y = random_dataset(rng, 20, 1)
         model = fit_gp(X, y, seed=0, restarts=8)
-        fitted = log_marginal_likelihood(model)
+        fitted = log_posterior(X, y, model.params)
         for ls in (0.1, 0.5, 2.0):
             for sv in (0.5, 1.0, 4.0):
                 for nv in (1e-4, 1e-2, 0.5):
                     p = KernelParams(np.array([ls]), sv, nv)
-                    assert fitted >= log_marginal_likelihood(build_gp(X, y, p)) - 1e-6
+                    assert fitted >= log_posterior(X, y, p) - 1e-6
 
     def test_fit_respects_bounds(self):
         rng = np.random.default_rng(12)
@@ -336,75 +341,107 @@ class TestLml:
 
 
 # ---------------------------------------------------------------------------
-# the fit against a model-per-evaluation reference
+# the MAP fit: prior, gradient, and optimum
 
 
-def reference_fit(X, y, seed, restarts=8, maxiter=200, noise_bounds=NOISE_VAR_BOUNDS):
-    """fit_gp written out as a plain multi-start Nelder-Mead over
-    -log_marginal_likelihood(build_gp(...)), one model per evaluation.
-    Returns the fitted model and the jitter of every evaluated model."""
-    d = X.shape[1]
+def starts(d, seed, restarts=8, noise_bounds=NOISE_VAR_BOUNDS):
+    """fit_gp's documented starting points, written out independently."""
     lo = np.log(np.array([LENGTHSCALE_BOUNDS[0]] * d + [SIGNAL_VAR_BOUNDS[0], noise_bounds[0]]))
     hi = np.log(np.array([LENGTHSCALE_BOUNDS[1]] * d + [SIGNAL_VAR_BOUNDS[1], noise_bounds[1]]))
-    jitters = []
-
-    def params_at(theta):
-        return KernelParams(np.exp(theta[:d]), math.exp(theta[d]), math.exp(theta[d + 1]))
-
-    def neg_lml(theta):
-        try:
-            model = build_gp(X, y, params_at(np.clip(theta, lo, hi)))
-        except NumericalError:
-            return 1e12
-        jitters.append(model.jitter)
-        return -log_marginal_likelihood(model)
-
     rng = np.random.default_rng(seed)
-    starts = [np.clip(np.log(np.concatenate([np.full(d, 0.5), [1.0, 1e-4]])), lo, hi)]
-    starts += [rng.uniform(lo, hi) for _ in range(restarts - 1)]
-    best_val, best_theta = math.inf, None
-    for theta0 in starts:
-        res = minimize(neg_lml, theta0, method="Nelder-Mead", bounds=list(zip(lo, hi)),
-                       options={"maxiter": maxiter, "xatol": 1e-3, "fatol": 1e-5})
-        if res.fun < best_val:
-            best_val, best_theta = res.fun, np.clip(res.x, lo, hi)
-    return build_gp(X, y, params_at(best_theta)), jitters
+    out = [np.clip(np.log(np.concatenate([np.full(d, 0.5), [1.0, 1e-4]])), lo, hi)]
+    return out + [rng.uniform(lo, hi) for _ in range(restarts - 1)]
 
 
-class TestFitMatchesReference:
-    """fit_gp scores each Nelder-Mead vertex without building a model; its
-    result must be bit-identical to the model-per-evaluation reference."""
+def params_at(theta):
+    d = len(theta) - 2
+    return KernelParams(np.exp(theta[:d]), math.exp(theta[d]), math.exp(theta[d + 1]))
 
-    def assert_same_fit(self, X, y, seed, noise_bounds=NOISE_VAR_BOUNDS):
-        want, jitters = reference_fit(X, y, seed, noise_bounds=noise_bounds)
-        got = fit_gp(X, y, seed=seed, noise_bounds=noise_bounds)
-        assert np.array_equal(got.params.lengthscales, want.params.lengthscales)
-        assert got.params.signal_var == want.params.signal_var
-        assert got.params.noise_var == want.params.noise_var
-        assert np.array_equal(got.alpha, want.alpha)
-        assert np.array_equal(got.chol, want.chol)
-        assert got.jitter == want.jitter
-        assert got.y_mean == want.y_mean and got.y_scale == want.y_scale
-        return jitters
+
+def random_data():
+    rng = np.random.default_rng(21)
+    return random_dataset(rng, 14, 3)
+
+
+def duplicate_rows_data():
+    rng = np.random.default_rng(22)
+    X = rng.uniform(size=(5, 2))
+    X = np.vstack([X, X, X[:2]])
+    return X, np.sin(4.0 * X[:, 0]) + X[:, 1]
+
+
+def constant_data():
+    rng = np.random.default_rng(23)
+    return rng.uniform(size=(9, 2)), np.full(9, 1.75)
+
+
+class TestLogPrior:
+    def test_gamma_log_densities(self):
+        p = KernelParams(np.array([0.5, 2.0]), 1.5, 0.01)
+        want = (
+            (2 * math.log(0.5) - 6 * 0.5) + (2 * math.log(2.0) - 6 * 2.0)
+            + (math.log(1.5) - 0.15 * 1.5)
+            + (0.1 * math.log(0.01) - 0.05 * 0.01)
+        )
+        assert log_prior(p) == pytest.approx(want, rel=1e-14)
+
+
+class TestMapFit:
+    """fit_gp maximizes log_marginal_likelihood + log_prior with an analytic
+    gradient; checked on a random, a jittered and a constant-target set."""
+
+    def assert_map_fit(self, X, y, seed, noise_bounds=NOISE_VAR_BOUNDS):
+        model = fit_gp(X, y, seed=seed, noise_bounds=noise_bounds)
+        fitted = log_posterior(X, y, model.params)
+        for theta0 in starts(X.shape[1], seed, noise_bounds=noise_bounds):
+            assert fitted >= log_posterior(X, y, params_at(theta0))
+        # the fitted parameters go through build_gp: one code path
+        rebuilt = build_gp(X, y, model.params)
+        assert np.array_equal(model.alpha, rebuilt.alpha)
+        assert np.array_equal(model.chol, rebuilt.chol)
+        assert model.jitter == rebuilt.jitter
+        assert model.fit_evals > 0 and rebuilt.fit_evals == 0
+        return model
+
+    def assert_gradient_matches_central_differences(self, X, y, thetas):
+        objective = _neg_log_posterior(X, _standardize(y)[2])
+        h = 1e-5
+        for theta in thetas:
+            value, grad = objective(theta)
+            # the objective is the public log posterior, negated
+            assert value == pytest.approx(-log_posterior(X, y, params_at(theta)), rel=1e-9)
+            fd = np.array([
+                (objective(theta + h * e)[0] - objective(theta - h * e)[0]) / (2 * h)
+                for e in np.eye(len(theta))
+            ])
+            assert np.linalg.norm(fd - grad) <= 1e-6 * np.linalg.norm(grad)
 
     def test_random_data(self):
-        rng = np.random.default_rng(21)
-        X, y = random_dataset(rng, 14, 3)
-        self.assert_same_fit(X, y, seed=4)
+        X, y = random_data()
+        self.assert_map_fit(X, y, seed=4)
+        self.assert_gradient_matches_central_differences(X, y, starts(3, seed=4))
 
     def test_duplicate_rows_take_the_jitter_path(self):
-        rng = np.random.default_rng(22)
-        X = rng.uniform(size=(5, 2))
-        X = np.vstack([X, X, X[:2]])
-        y = np.sin(4.0 * X[:, 0]) + X[:, 1]
-        # Near-zero noise leaves the repeated rows' kernel singular, so some
-        # evaluations need jitter to factorize.
-        jitters = self.assert_same_fit(X, y, seed=5, noise_bounds=(1e-16, 1e-12))
+        X, y = duplicate_rows_data()
+        noise_bounds = (1e-16, 1e-12)
+        # Near-zero noise leaves the repeated rows' kernel singular, so the
+        # factorization at some starts needs jitter.
+        jitters = [build_gp(X, y, params_at(t)).jitter for t in starts(2, 5, noise_bounds=noise_bounds)]
         assert max(jitters) > 0.0
+        self.assert_map_fit(X, y, seed=5, noise_bounds=noise_bounds)
 
     def test_constant_targets_keep_unit_scale(self):
-        rng = np.random.default_rng(23)
-        X = rng.uniform(size=(9, 2))
-        y = np.full(9, 1.75)
-        self.assert_same_fit(X, y, seed=6)
-        assert fit_gp(X, y, seed=6).y_scale == 1.0
+        X, y = constant_data()
+        model = self.assert_map_fit(X, y, seed=6)
+        assert model.y_scale == 1.0
+        self.assert_gradient_matches_central_differences(X, y, starts(2, seed=6))
+
+    def test_failed_factorization_is_a_sentinel(self, monkeypatch):
+        # Repeated rows with negligible noise need jitter; with no jitter
+        # allowed the factorization fails.
+        monkeypatch.setattr(gp, "JITTER_MAX", 0.0)
+        objective = _neg_log_posterior(np.array([[0.5], [0.5]]), np.array([1.0, -1.0]))
+        theta = np.log(np.array([0.5, 1.0, 1e-300]))
+        value, grad = objective(theta)
+        assert value == 1e12
+        assert np.array_equal(grad, np.zeros(3))
