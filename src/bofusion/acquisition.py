@@ -83,20 +83,14 @@ class SimplexDomain:
             raise ValueError("simplex needs n >= 1")
 
 
-def _chol_or_zero(cov: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Cholesky with jitter escalation; an (effectively) all-zero covariance
-    short-circuits to a zero factor so degenerate posteriors stay exact."""
+def _chol_or_zero(cov: np.ndarray) -> tuple[np.ndarray, float, bool]:
+    """The GP's jittered Cholesky (gp._chol): (L, jitter, is_zero); an
+    (effectively) all-zero covariance short-circuits to a zero factor so
+    degenerate posteriors stay exact."""
     if cov.size == 0 or float(np.max(np.abs(cov))) < 1e-30:
-        return np.zeros_like(cov), True
-    jitter = 0.0
-    eye = np.eye(len(cov))
-    while True:
-        try:
-            return np.linalg.cholesky(cov + jitter * eye), False
-        except np.linalg.LinAlgError:
-            jitter = _gp.JITTER_START if jitter == 0.0 else jitter * 10.0
-            if jitter > _gp.JITTER_MAX:
-                raise NumericalError("posterior covariance is not factorizable") from None
+        return np.zeros_like(cov, order="F"), 0.0, True
+    L, jitter = _gp._chol(cov, np.eye(len(cov)))
+    return L, jitter, False
 
 
 def _observed_matrix(observed) -> np.ndarray:
@@ -113,6 +107,8 @@ class NehviAcquisition:
     scenario samples plus one normal per scenario for the candidate), so all
     candidate evaluations within the iteration share common random numbers
     and the callable is a pure deterministic function of the candidate.
+    ``obs_jitter[k]`` is the jitter objective k's joint posterior covariance
+    at the observed points needed to factorize (0.0 when none).
     """
 
     def __init__(self, models, observed_x, cfg: AcqConfig, ref=None):
@@ -135,6 +131,7 @@ class NehviAcquisition:
         rng = np.random.default_rng(cfg.seed)
         self._obs_chol = []
         self._obs_zero = []
+        obs_jitter = []
         self._cand_z = []
         self._resid = []
         self._gp_terms = []
@@ -142,16 +139,17 @@ class NehviAcquisition:
         for k, model in enumerate(self.models):
             mu, cov = model.posterior_joint(self.X)
             mu = np.asarray(mu, dtype=float).ravel()
-            L, is_zero = _chol_or_zero(np.asarray(cov, dtype=float))
+            L, jitter, is_zero = _chol_or_zero(np.asarray(cov, dtype=float))
             Z = rng.standard_normal((n, n_mc))
             samples[:, :, k] = mu[:, None] + (L @ Z if not is_zero else 0.0)
-            # Fortran order is what potrs takes without a copy.
-            self._obs_chol.append(np.asfortranarray(L))
+            self._obs_chol.append(L)
             self._obs_zero.append(is_zero)
+            obs_jitter.append(jitter)
             self._cand_z.append(rng.standard_normal(n_mc))
             self._resid.append(samples[:, :, k] - mu[:, None])
             self._gp_terms.append(self._kernel_terms(model) if isinstance(model, _gp.GpModel) else None)
         self._samples = samples
+        self.obs_jitter = tuple(obs_jitter)
 
         if K == 2:
             self._build_staircases()

@@ -17,7 +17,7 @@ from the same parameters are the same model.
 The factor and solves call LAPACK ``potrf``/``potrs``/``trtrs`` directly
 (the routines ``scipy.linalg.cholesky``/``cho_solve``/``solve_triangular``
 call), and the kernel formula and the jittered factorization each live in
-one private helper.
+one private helper, shared with the acquisition code.
 
 The predictive distribution includes the fitted observation noise; callers
 that need the latent joint posterior over several points (for Monte-Carlo
@@ -117,17 +117,23 @@ def _cho_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def _chol_solve(K: np.ndarray, eye: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
-    """Lower Cholesky factor of K, escalating added jitter tenfold on failure,
-    and K^-1 b through it: (L, jitter, solution)."""
+def _chol(K: np.ndarray, eye: np.ndarray) -> tuple[np.ndarray, float]:
+    """Fortran-ordered lower Cholesky factor of K, escalating added jitter
+    tenfold on failure: (L, jitter)."""
     jitter = 0.0
     while True:
         L, info = dpotrf(K + jitter * eye, lower=1, clean=1)
         if info == 0:
-            return L, jitter, _cho_solve(L, b)
+            return L, jitter
         jitter = JITTER_START if jitter == 0.0 else jitter * 10.0
         if jitter > JITTER_MAX:
             raise NumericalError(f"Cholesky failed even with jitter {JITTER_MAX:g}")
+
+
+def _chol_solve(K: np.ndarray, eye: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
+    """``_chol`` of K and K^-1 b through it: (L, jitter, solution)."""
+    L, jitter = _chol(K, eye)
+    return L, jitter, _cho_solve(L, b)
 
 
 @dataclass(frozen=True)

@@ -287,6 +287,18 @@ class TestNehvi:
         got = nehvi_mc(models, X[4], X, cfg=AcqConfig(n_mc=n_mc, seed=1))
         assert got <= 3.0 / math.sqrt(n_mc)
 
+    def test_observed_covariance_jitter_is_reported(self):
+        rng = np.random.default_rng(5)
+        X = _simplex_history(rng, 6)
+        Y = rng.uniform(size=(6, 2))
+        params = KernelParams(np.full(3, 0.5), 1.0, 1e-4)
+        models = [build_gp(X, Y[:, k], params) for k in range(2)]
+        assert NehviAcquisition(models, X, AcqConfig(n_mc=8)).obs_jitter == (0.0, 0.0)
+        # A repeated observed point makes each joint posterior covariance
+        # singular, so its factor needs jitter.
+        repeated = NehviAcquisition(models, np.vstack([X, X[:2]]), AcqConfig(n_mc=8))
+        assert all(j > 0.0 for j in repeated.obs_jitter)
+
     def test_k1_noise_free_reduces_to_ei(self):
         rng = np.random.default_rng(4)
         X = rng.uniform(size=(9, 1))
