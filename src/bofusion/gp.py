@@ -283,12 +283,6 @@ def _neg_log_posterior(X: np.ndarray, y_std: np.ndarray):
     return objective
 
 
-def _log_box(d: int, noise_bounds: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
-    lo = [LENGTHSCALE_BOUNDS[0]] * d + [SIGNAL_VAR_BOUNDS[0], noise_bounds[0]]
-    hi = [LENGTHSCALE_BOUNDS[1]] * d + [SIGNAL_VAR_BOUNDS[1], noise_bounds[1]]
-    return np.log(np.array(lo)), np.log(np.array(hi))
-
-
 def fit_gp(
     X,
     y,
@@ -312,7 +306,8 @@ def fit_gp(
         raise ValueError("need at least one restart")
     d = X.shape[1]
     objective = _neg_log_posterior(X, _standardize(y)[2])
-    lo, hi = _log_box(d, noise_bounds)
+    lo = np.log(np.array([LENGTHSCALE_BOUNDS[0]] * d + [SIGNAL_VAR_BOUNDS[0], noise_bounds[0]]))
+    hi = np.log(np.array([LENGTHSCALE_BOUNDS[1]] * d + [SIGNAL_VAR_BOUNDS[1], noise_bounds[1]]))
 
     rng = np.random.default_rng(seed)
     default = np.log(np.concatenate([np.full(d, 0.5), [1.0, 1e-4]]))
