@@ -723,7 +723,10 @@ def derive_windows(
     normalization window from the members that scored (derive_norm_bounds),
     and re-normalizes the standalone scores under those windows. Returns
     (windowed spec, standalone observations, best member id); the best member
-    has the highest summed normalized metric, ties to the lowest id. Raises
+    has the highest summed normalized metric. A best value exactly on a
+    decimal anchors its window and normalizes to 0, like the members clipped
+    below the window, so ties go to the highest summed raw metric (negated
+    for minimized entries), then to the lowest id. Raises
     EvaluationFailedError only when every member fails.
     """
     standalone = [_score_or_none(scorer, np.eye(n)[i], spec0, seed, i) for i in range(n)]
@@ -741,7 +744,15 @@ def derive_windows(
         else _observe_raws(o.x, dict(zip(spec.names, o.raw)), spec, seed, i, t0)
         for i, o in enumerate(standalone)
     ]
-    best_member_id = int(np.argmax([_metric_quality(o, spec) for o in standalone]))
+    sign = {"maximize": 1.0, "minimize": -1.0}
+    metrics = [(k, sign[e.direction]) for k, e in enumerate(spec.entries) if e.kind == "metric"]
+
+    def rank(i: int) -> tuple[float, float]:
+        o = standalone[i]
+        raw = -math.inf if o.meta.failed else sum(sgn * float(o.raw[k]) for k, sgn in metrics)
+        return _metric_quality(o, spec), raw
+
+    best_member_id = max(range(n), key=rank)
     return spec, standalone, best_member_id
 
 

@@ -726,6 +726,23 @@ class TestFusionStage:
         assert best_id == 2
         assert spec.entries[1].norm_min == 0.4  # anchored at member 2, not the failure
 
+    def test_best_value_on_a_decimal_wins_the_clip_tie(self):
+        # Member 2's 0.5 anchors the window [0.5, 0.6], so it normalizes to
+        # 0 like member 1's clipped 0.4; the raw metric breaks the tie.
+        class Scorer:
+            def score(self, delta):
+                d = np.asarray(delta)
+                if d[0] == 1.0:
+                    raise EvaluationFailedError("member 0 diverged")
+                return {"loss": 1.0, "metric": 0.5 if d[2] == 1.0 else 0.4}
+
+        spec, standalone, best_id = derive_windows(
+            InProcessEvaluator(Scorer()), LOSS_METRIC_SPEC, 3, seed=0
+        )
+        assert spec.entries[1].norm_min == 0.5
+        assert [o.normalized[1] for o in standalone[1:]] == [0.0, 0.0]
+        assert best_id == 2
+
     def test_every_member_failing_raises(self):
         class Dead:
             def score(self, delta):
