@@ -1,7 +1,15 @@
 import os
 import sys
 
-from hypothesis import HealthCheck, settings
+# OpenBLAS and OpenMP read their thread counts when numpy first loads them.
+# With the default (one thread per core) each tiny GP solve pays thread
+# hand-off costs that swing with host load, so the suite pins one thread
+# unless the caller chose otherwise. test_blas_threads checks the order.
+NUMPY_LOADED_BEFORE_PIN = "numpy" in sys.modules
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+from hypothesis import HealthCheck, settings  # noqa: E402
 
 settings.register_profile(
     "default",
