@@ -8,6 +8,15 @@ improvement: each MC scenario resamples the *observed* objective values from
 the joint latent posterior, rebuilds the front, and measures the candidate's
 hypervolume gain against it. Scenarios share one per-iteration seed so
 candidates are compared under common random numbers.
+
+Acquisitions score blocks: an acquisition handed to ``optimize_acq`` maps an
+``(m, d)`` array of candidates to ``m`` values, and ``NehviAcquisition``
+conditions a whole block on each GP objective with one pair of kernel
+matrices and one pair of multi-right-hand-side solves. ``optimize_acq``
+scores its raw candidates in one call and runs its coordinate-search restarts
+in lockstep, so each round of the search is one call over every active
+restart's pending trials (the batched ``optimize_acqf`` idea of BoTorch,
+Balandat et al. 2020).
 """
 from __future__ import annotations
 
@@ -24,6 +33,10 @@ from .errors import NumericalError
 
 #: Returned by log_ei when improvement is impossible (sigma = 0, mu <= best).
 LOG_EI_FLOOR = -1e12
+
+#: NehviAcquisition scores larger blocks this many rows at a time, which
+#: bounds the (rows, n_mc, staircase width) arrays of the K=2 gain.
+_CHUNK_ROWS = 32
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
@@ -191,61 +204,94 @@ class NehviAcquisition:
         self._NXT = np.concatenate([SX[:, 1:], np.zeros((n_mc, 1))], axis=1) if width else SX
         self._SX0 = SX[:, 0] if width else np.zeros(n_mc)
 
-    def _candidate_samples(self, delta: np.ndarray) -> np.ndarray:
-        """Per-scenario candidate objective draws, conditioned on the
-        scenario's observed-value samples. Shape (n_mc, K)."""
-        out = np.empty((self.cfg.n_mc, len(self.models)))
-        cand = np.atleast_2d(delta)
+    def _gp_moments(self, model: _gp.GpModel, terms: tuple, D: np.ndarray):
+        """Candidate means, observed-candidate covariances (n_obs, m) and
+        candidate variances of one GP objective, for the rows of D."""
+        A_train, a2_train, A_obs, a2_obs, V_obs, scale2 = terms
+        p = model.params
+        B = D / p.lengthscales
+        b2 = _gp._sq_norms(B)
+        ks_c = _gp._matern52_scaled(A_train, a2_train, B, b2, p.signal_var)
+        V_c = _gp._tri_solve(model.chol, ks_c)
+        mu_c = model.y_mean + model.y_scale * (ks_c.T @ model.alpha)
+        cross = _gp._matern52_scaled(A_obs, a2_obs, B, b2, p.signal_var) - V_obs.T @ V_c
+        sig_cc = scale2 * np.maximum(p.signal_var - np.sum(V_c * V_c, axis=0), 0.0)
+        return mu_c, scale2 * cross, sig_cc
+
+    def _joint_moments(self, model, D: np.ndarray):
+        """``_gp_moments`` for any model with ``posterior_joint``, one
+        candidate at a time."""
+        mu_c = np.empty(len(D))
+        sig_oc = np.empty((len(self.X), len(D)))
+        sig_cc = np.empty(len(D))
+        for i, cand in enumerate(D):
+            mu_j, cov_j = model.posterior_joint(np.vstack([self.X, cand]))
+            mu_j = np.asarray(mu_j, dtype=float).ravel()
+            cov_j = np.asarray(cov_j, dtype=float)
+            mu_c[i] = mu_j[-1]
+            sig_oc[:, i] = cov_j[:-1, -1]
+            sig_cc[i] = max(cov_j[-1, -1], 0.0)
+        return mu_c, sig_oc, sig_cc
+
+    def _candidate_samples(self, D: np.ndarray) -> np.ndarray:
+        """Per-scenario objective draws for the rows of D, each conditioned
+        on the scenario's observed-value samples. Shape (m, n_mc, K)."""
+        out = np.empty((len(D), self.cfg.n_mc, len(self.models)))
         for k, model in enumerate(self.models):
-            if self._gp_terms[k] is not None:
-                A_train, a2_train, A_obs, a2_obs, V_obs, scale2 = self._gp_terms[k]
-                p = model.params
-                B = cand / p.lengthscales
-                b2 = _gp._sq_norms(B)
-                ks_c = _gp._matern52_scaled(A_train, a2_train, B, b2, p.signal_var)
-                v_c = _gp._tri_solve(model.chol, ks_c)[:, 0]
-                mu_c = model.y_mean + model.y_scale * float(ks_c[:, 0] @ model.alpha)
-                cross = _gp._matern52_scaled(A_obs, a2_obs, B, b2, p.signal_var)[:, 0] - V_obs.T @ v_c
-                sig_oc = scale2 * cross
-                sig_cc = scale2 * max(p.signal_var - float(v_c @ v_c), 0.0)
+            terms = self._gp_terms[k]
+            if terms is not None:
+                mu_c, sig_oc, sig_cc = self._gp_moments(model, terms, D)
             else:
-                stacked = np.vstack([self.X, cand])
-                mu_j, cov_j = model.posterior_joint(stacked)
-                mu_j = np.asarray(mu_j, dtype=float).ravel()
-                cov_j = np.asarray(cov_j, dtype=float)
-                mu_c = float(mu_j[-1])
-                sig_oc = cov_j[:-1, -1]
-                sig_cc = float(max(cov_j[-1, -1], 0.0))
+                mu_c, sig_oc, sig_cc = self._joint_moments(model, D)
             if self._obs_zero[k]:
-                w = np.zeros(len(self.X))
+                W = np.zeros_like(sig_oc)
             else:
-                w = _gp._cho_solve(self._obs_chol[k], sig_oc)
-            cond_var = max(sig_cc - float(sig_oc @ w), 0.0)
-            cond_mean = mu_c + w @ self._resid[k]
-            out[:, k] = cond_mean + math.sqrt(cond_var) * self._cand_z[k]
+                W = _gp._cho_solve(self._obs_chol[k], sig_oc)
+            cond_var = np.maximum(sig_cc - np.sum(sig_oc * W, axis=0), 0.0)
+            cond_mean = mu_c[:, None] + W.T @ self._resid[k]
+            out[:, :, k] = cond_mean + np.sqrt(cond_var)[:, None] * self._cand_z[k]
         return out
 
-    def __call__(self, delta) -> float:
-        delta = np.asarray(delta, dtype=float).ravel()
-        if delta.size != self.X.shape[1]:
-            raise ValueError("candidate/history dimension mismatch")
-        C = self._candidate_samples(delta)
-        K = C.shape[1]
+    def _gains(self, C: np.ndarray) -> np.ndarray:
+        """Mean hypervolume gain over the scenarios for each candidate's
+        draws C (m, n_mc, K)."""
+        K = C.shape[2]
         if K == 1:
-            gains = np.maximum(C[:, 0], 0.0) - self._base1
-            return float(np.maximum(gains, 0.0).mean())
+            gains = np.maximum(C[:, :, 0], 0.0) - self._base1
+            return np.maximum(gains, 0.0).mean(axis=1)
         if K == 2:
-            a, b = C[:, 0], C[:, 1]
+            a, b = C[:, :, 0], C[:, :, 1]
             pos = (a > 0.0) & (b > 0.0)
             first = np.maximum(0.0, a - self._SX0) * np.maximum(b, 0.0)
-            seg = np.maximum(0.0, np.minimum(a[:, None], self._SX) - self._NXT)
-            height = np.maximum(0.0, b[:, None] - self._SY)
-            gains = (first + (seg * height).sum(axis=1)) * pos
-            return float(gains.mean())
-        gains = [
-            _pareto.hv_improvement(front, c) for front, c in zip(self._fronts, C)
-        ]
-        return float(np.mean(gains))
+            seg = np.maximum(0.0, np.minimum(a[:, :, None], self._SX) - self._NXT)
+            height = np.maximum(0.0, b[:, :, None] - self._SY)
+            return ((first + (seg * height).sum(axis=2)) * pos).mean(axis=1)
+        return np.array([
+            np.mean([_pareto.hv_improvement(front, c) for front, c in zip(self._fronts, draws)])
+            for draws in C
+        ])
+
+    def __call__(self, delta):
+        """NEHVI of each row of an (m, d) block of candidates, as m values;
+        a single 1-D candidate gives a float.
+
+        For a GP objective a block costs two kernel matrices, one triangular
+        and one Cholesky solve with m right-hand sides and one product with
+        the scenario residuals; K=1 and K=2 gains are computed on (m, n_mc,
+        ...) arrays. K >= 3 gains, and objectives that are not a GpModel,
+        go one row at a time. Blocks of more than 32 rows are scored 32 rows
+        at a time, so a row's value depends only on the rows of its chunk,
+        and on those only through floating-point rounding.
+        """
+        D = np.asarray(delta, dtype=float)
+        if D.ndim not in (1, 2) or D.shape[-1] != self.X.shape[1]:
+            raise ValueError("candidate/history dimension mismatch")
+        rows = np.atleast_2d(D)
+        vals = np.empty(len(rows))
+        for i in range(0, len(rows), _CHUNK_ROWS):
+            chunk = rows[i : i + _CHUNK_ROWS]
+            vals[i : i + _CHUNK_ROWS] = self._gains(self._candidate_samples(chunk))
+        return float(vals[0]) if D.ndim == 1 else vals
 
 
 def nehvi_mc(models, delta, observed, ref=None, cfg: AcqConfig | None = None) -> float:
@@ -262,18 +308,70 @@ def _project_simplex(u: np.ndarray) -> np.ndarray | None:
     return u / s
 
 
+def _coordinate_walk(u: np.ndarray, v: float, project, cfg: AcqConfig):
+    """One restart's cyclic first-improvement coordinate search from (u, v).
+
+    Each pass tries +step then -step along every coordinate in turn,
+    projecting each trial back onto the domain; the first trial that beats
+    v moves u there, and the pass goes on from the next move. Up to
+    local_steps passes run per step, which halves from 0.25 down to 1e-4
+    once a pass finds nothing.
+
+    A generator: it yields the remaining trials of the current pass around
+    u as one (m, d) block and is sent their m values. An improvement moves u
+    and the pass resumes after that move with a fresh block, so given the
+    same values the walk takes the same path as one trial at a time.
+    Returns the final (u, v).
+    """
+    moves = [(i, sgn) for i in range(len(u)) for sgn in (1.0, -1.0)]
+    step = 0.25
+    while step >= 1e-4:
+        for _ in range(cfg.local_steps):
+            improved = False
+            start = 0
+            while start < len(moves):
+                trials = []
+                for j in range(start, len(moves)):
+                    i, sgn = moves[j]
+                    trial = u.copy()
+                    trial[i] += sgn * step
+                    trial = project(trial)
+                    if trial is not None:
+                        trials.append((j, trial))
+                if not trials:
+                    break
+                vals = yield np.stack([t for _, t in trials])
+                start = len(moves)
+                for (j, trial), tv in zip(trials, vals):
+                    if tv > v:
+                        u, v, improved = trial, tv, True
+                        start = j + 1
+                        break
+            if not improved:
+                break
+        step *= 0.5
+    return u, v
+
+
 def optimize_acq(acq, domain, cfg: AcqConfig | None = None) -> np.ndarray:
     """Seeded raw search plus coordinate-wise local refinement.
 
     Raw candidates are uniform in the box (scale-aware per dimension) or
-    Dirichlet(1, ..., 1) on the simplex. The top n_restarts are refined by a
-    cyclic +/- coordinate search with a halving step (0.25 down to 1e-4),
-    projecting each trial back onto the domain. Deterministic given cfg.seed;
-    value ties resolve to the lowest candidate index.
+    Dirichlet(1, ..., 1) on the simplex. The top n_restarts are refined by
+    ``_coordinate_walk``: a cyclic +/- coordinate search with a halving step
+    (0.25 down to 1e-4), projecting each trial back onto the domain.
+    Deterministic given cfg.seed; value ties resolve to the lowest candidate
+    index, and across restarts to the lowest restart.
 
-    `acq` must be a pure function of its argument: each distinct candidate
-    is scored once and a revisited one reuses that score. NEHVI qualifies
-    because it fixes all its random numbers when built.
+    `acq` maps an (m, d) block of points (raw box coordinates, or simplex
+    coefficients) to m values, and must score each row as a pure function
+    of that row, up to rounding: each distinct candidate is scored once and
+    a revisited one reuses that score. NEHVI qualifies because it fixes all
+    its random numbers when built. The raw candidates are one block. The
+    restarts then walk in lockstep: each round collects every unfinished
+    walk's pending trials, scores the ones not seen before in one block, and
+    sends each walk its values. The walks never interact, so each follows
+    the path it would follow alone.
     """
     cfg = cfg or AcqConfig()
     rng = np.random.default_rng(cfg.seed)
@@ -282,60 +380,61 @@ def optimize_acq(acq, domain, cfg: AcqConfig | None = None) -> np.ndarray:
         raise TypeError("domain must be a BoundedParamSpace or SimplexDomain")
 
     if is_box:
-        d = domain.dim
         raw = domain.sample(rng, cfg.n_raw_candidates)
         units = np.stack([domain.to_unit(x) for x in raw])
-        to_point = lambda u: domain.from_unit(u)
+        to_points = lambda U: np.stack([domain.from_unit(u) for u in U])
         project = lambda u: np.clip(u, 0.0, 1.0)
     else:
-        d = domain.n
-        units = rng.dirichlet(np.ones(d), size=cfg.n_raw_candidates)
-        to_point = lambda u: u
+        units = rng.dirichlet(np.ones(domain.n), size=cfg.n_raw_candidates)
+        to_points = lambda U: U
         project = _project_simplex
 
     seen: dict[bytes, float] = {}
 
-    def safe_eval(u):
-        key = u.tobytes()
-        v = seen.get(key)
-        if v is None:
-            v = float(acq(to_point(u)))
-            v = seen[key] = v if math.isfinite(v) else -math.inf
-        return v
+    def score(U: np.ndarray) -> np.ndarray:
+        # One acq call for the rows of U not scored before; non-finite
+        # values count as -inf.
+        keys = [u.tobytes() for u in U]
+        fresh: dict[bytes, np.ndarray] = {}
+        for key, u in zip(keys, U):
+            if key not in seen:
+                fresh.setdefault(key, u)
+        if fresh:
+            got = np.asarray(acq(to_points(np.stack(list(fresh.values())))), dtype=float)
+            if got.shape != (len(fresh),):
+                raise ValueError("acquisition must return one value per candidate row")
+            for key, v in zip(fresh, got.tolist()):
+                seen[key] = v if math.isfinite(v) else -math.inf
+        return np.array([seen[key] for key in keys])
 
-    vals = np.array([safe_eval(u) for u in units])
-    if not np.any(np.isfinite(vals) & (vals > -math.inf)):
+    vals = score(units)
+    if not np.any(vals > -math.inf):
         raise NumericalError("acquisition returned non-finite values for every candidate")
 
     top = np.argsort(-vals, kind="stable")[: cfg.n_restarts]
-    best_u, best_v = None, -math.inf
-    for idx in top:
-        u = units[idx].copy()
-        v = vals[idx]
-        if v == -math.inf:
-            continue
-        step = 0.25
-        while step >= 1e-4:
-            for _ in range(cfg.local_steps):
-                improved = False
-                for i in range(d):
-                    for sgn in (1.0, -1.0):
-                        trial = u.copy()
-                        trial[i] += sgn * step
-                        trial = project(trial)
-                        if trial is None:
-                            continue
-                        tv = safe_eval(trial)
-                        if tv > v:
-                            u, v, improved = trial, tv, True
-                if not improved:
-                    break
-            step *= 0.5
-        if v > best_v:
-            best_u, best_v = u, v
-    if best_u is None:
-        raise NumericalError("acquisition refinement failed for every restart")
+    walks = [_coordinate_walk(units[i].copy(), vals[i], project, cfg) for i in top if vals[i] > -math.inf]
+    results: list = [None] * len(walks)
+    pending: dict[int, np.ndarray] = {}
+
+    def advance(w: int, sent) -> None:
+        try:
+            pending[w] = walks[w].send(sent)
+        except StopIteration as stop:
+            results[w] = stop.value
+
+    for w in range(len(walks)):
+        advance(w, None)
+    while pending:
+        round_ = list(pending.items())
+        pending.clear()
+        got = score(np.concatenate([block for _, block in round_]))
+        at = 0
+        for w, block in round_:
+            advance(w, got[at : at + len(block)])
+            at += len(block)
+
+    # max keeps the first of equal values: ties go to the lowest restart.
+    best_u, _ = max(results, key=lambda r: r[1])
     if is_box:
-        return to_point(best_u)
-    out = best_u / best_u.sum()
-    return out
+        return domain.from_unit(best_u)
+    return best_u / best_u.sum()

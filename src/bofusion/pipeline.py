@@ -356,9 +356,9 @@ def run_hpbo(
         model = fit_gp(X_unit, y, seed=_child_seed(rng), restarts=gp_restarts)
         best = float(y.max())
 
-        def acq(x_raw, _m=model, _b=best):
-            mu, sig = _m.predict(space.to_unit(x_raw))
-            return log_ei(mu, sig, _b)
+        def acq(X_raw, _m=model, _b=best):
+            mu, sig = _m.predict_batch(np.stack([space.to_unit(x) for x in X_raw]))
+            return np.array([log_ei(float(m), float(s), _b) for m, s in zip(mu, sig)])
 
         cfg = AcqConfig(
             n_restarts=base_acq.n_restarts,
@@ -723,11 +723,11 @@ def derive_windows(
     normalization window from the members that scored (derive_norm_bounds),
     and re-normalizes the standalone scores under those windows. Returns
     (windowed spec, standalone observations, best member id); the best member
-    has the highest summed normalized metric. A best value exactly on a
-    decimal anchors its window and normalizes to 0, like the members clipped
-    below the window, so ties go to the highest summed raw metric (negated
-    for minimized entries), then to the lowest id. Raises
-    EvaluationFailedError only when every member fails.
+    leads ``_member_order``, which greedy soup follows too. A best value
+    exactly on a decimal anchors its window and normalizes to 0, like the
+    members clipped below the window, which is why that order breaks ties by
+    the raw metric. Raises EvaluationFailedError only when every member
+    fails.
     """
     standalone = [_score_or_none(scorer, np.eye(n)[i], spec0, seed, i) for i in range(n)]
     ok = [o for o in standalone if not o.meta.failed]
@@ -744,16 +744,23 @@ def derive_windows(
         else _observe_raws(o.x, dict(zip(spec.names, o.raw)), spec, seed, i, t0)
         for i, o in enumerate(standalone)
     ]
+    return spec, standalone, _member_order(standalone, spec)[0]
+
+
+def _member_order(standalone: Sequence[Observation], spec: ObjectiveSpec) -> list[int]:
+    """Member ids, best first: by summed normalized metric, then by summed
+    raw metric (negated for minimized entries), then by lowest id. The raw
+    metric settles ties between members clipped to the same normalized
+    value."""
     sign = {"maximize": 1.0, "minimize": -1.0}
     metrics = [(k, sign[e.direction]) for k, e in enumerate(spec.entries) if e.kind == "metric"]
 
-    def rank(i: int) -> tuple[float, float]:
+    def rank(i: int) -> tuple[float, float, int]:
         o = standalone[i]
         raw = -math.inf if o.meta.failed else sum(sgn * float(o.raw[k]) for k, sgn in metrics)
-        return _metric_quality(o, spec), raw
+        return _metric_quality(o, spec), raw, -i
 
-    best_member_id = max(range(n), key=rank)
-    return spec, standalone, best_member_id
+    return sorted(range(len(standalone)), key=rank, reverse=True)
 
 
 def fusion_baselines(
@@ -768,7 +775,7 @@ def fusion_baselines(
     """Score the fixed fusion baselines and build the report's `methods` block.
 
     Uniform SWA, greedy soup (fusion.fuse_greedy over the members' summed
-    normalized metrics) and learned SWA (fusion.fuse_learned on the loss
+    normalized metrics, tried in ``_member_order``) and learned SWA (fusion.fuse_learned on the loss
     entry) are scored under stage 2's windowed spec. When the scorer fails
     during learned SWA, the uniform coefficients stand in and the row says
     `fallback_uniform`. best_member and mobo_fusion come from `standalone`
@@ -799,7 +806,9 @@ def fusion_baselines(
 
     uniform = np.full(n, 1.0 / n)
     swa_obs = observe(uniform)
-    kept, greedy_delta = fuse_greedy([_metric_quality(o, spec) for o in standalone], pool_quality)
+    kept, greedy_delta = fuse_greedy(
+        [_metric_quality(o, spec) for o in standalone], pool_quality, _member_order(standalone, spec)
+    )
     greedy_obs = standalone[kept[0]] if len(kept) == 1 else pools[greedy_delta.tobytes()]
     try:
         learned, learned_extra = fuse_learned(n, loss, learned_steps, learned_lr).values, {}

@@ -12,6 +12,7 @@ from bofusion.acquisition import (
     LOG_EI_FLOOR,
     NehviAcquisition,
     SimplexDomain,
+    _project_simplex,
     log_ei,
     nehvi_mc,
     optimize_acq,
@@ -149,23 +150,106 @@ def box_space():
     return BoundedParamSpace((ParamDim("a", -1.0, 2.0), ParamDim("b", 0.0, 1.0)))
 
 
+def sequential_optimize_acq(acq, domain, cfg):
+    """The coordinate search one candidate at a time: `acq` takes one point
+    and returns a float. optimize_acq must take the same path whenever
+    each row's value does not depend on the rest of its block."""
+    rng = np.random.default_rng(cfg.seed)
+    is_box = isinstance(domain, BoundedParamSpace)
+    if is_box:
+        d = domain.dim
+        raw = domain.sample(rng, cfg.n_raw_candidates)
+        units = np.stack([domain.to_unit(x) for x in raw])
+        to_point = lambda u: domain.from_unit(u)
+        project = lambda u: np.clip(u, 0.0, 1.0)
+    else:
+        d = domain.n
+        units = rng.dirichlet(np.ones(d), size=cfg.n_raw_candidates)
+        to_point = lambda u: u
+        project = _project_simplex
+
+    seen = {}
+
+    def safe_eval(u):
+        key = u.tobytes()
+        v = seen.get(key)
+        if v is None:
+            v = float(acq(to_point(u)))
+            v = seen[key] = v if math.isfinite(v) else -math.inf
+        return v
+
+    vals = np.array([safe_eval(u) for u in units])
+    if not np.any(vals > -math.inf):
+        raise NumericalError("acquisition returned non-finite values for every candidate")
+    top = np.argsort(-vals, kind="stable")[: cfg.n_restarts]
+    best_u, best_v = None, -math.inf
+    for idx in top:
+        u = units[idx].copy()
+        v = vals[idx]
+        if v == -math.inf:
+            continue
+        step = 0.25
+        while step >= 1e-4:
+            for _ in range(cfg.local_steps):
+                improved = False
+                for i in range(d):
+                    for sgn in (1.0, -1.0):
+                        trial = u.copy()
+                        trial[i] += sgn * step
+                        trial = project(trial)
+                        if trial is None:
+                            continue
+                        tv = safe_eval(trial)
+                        if tv > v:
+                            u, v, improved = trial, tv, True
+                if not improved:
+                    break
+            step *= 0.5
+        if v > best_v:
+            best_u, best_v = u, v
+    if is_box:
+        return to_point(best_u), set(seen)
+    return best_u / best_u.sum(), set(seen)
+
+
+def rowwise(f):
+    """A block acquisition that scores each row with the scalar f."""
+    return lambda X: np.array([f(x) for x in X])
+
+
+def seeded_function(seed, d):
+    """A bumpy scalar function of a d-vector with plateaus (rounded values),
+    so ties between trials and between restarts occur, and a region where it
+    is NaN."""
+    rng = np.random.default_rng(seed)
+    w, c, phase = rng.normal(size=d), rng.uniform(size=d), rng.uniform(0, 6, size=d)
+
+    def f(x):
+        if x[0] > 0.9:
+            return float("nan")
+        v = float(np.sum(np.sin(3.0 * w * x + phase)) - 4.0 * np.sum((x - c) ** 2))
+        return round(v, 3) if seed % 2 else v
+
+    return f
+
+
 class TestOptimizeAcq:
     def test_concave_box_optimum(self):
         c = np.array([0.4, 0.6])
-        x = optimize_acq(lambda x: -float(np.sum((x - c) ** 2)), box_space(),
+        x = optimize_acq(lambda X: -np.sum((X - c) ** 2, axis=1), box_space(),
                          AcqConfig(seed=0))
         assert np.all(np.abs(x - c) < 1e-3)
 
     def test_simplex_vertex_optimum(self):
-        x = optimize_acq(lambda d: float(d[1]), SimplexDomain(3), AcqConfig(seed=0))
+        x = optimize_acq(lambda D: D[:, 1], SimplexDomain(3), AcqConfig(seed=0))
         assert np.all(np.abs(x - np.array([0.0, 1.0, 0.0])) < 1e-3)
         assert x.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_simplex_interior_matches_grid_oracle(self):
         target = 0.3
 
-        def acq(d):
-            return -(d[0] - target) ** 2
+        def acq(D):
+            return -(D[:, 0] - target) ** 2
 
         grid = np.arange(0.0, 1.0 + 1e-12, 1e-4)
         oracle = grid[np.argmax(-(grid - target) ** 2)]
@@ -174,37 +258,41 @@ class TestOptimizeAcq:
         assert x[1] == pytest.approx(1.0 - x[0], abs=1e-12)
 
     def test_seeded_determinism(self):
-        acq = lambda d: float(np.sin(5 * d[0]) + d[1])
+        acq = lambda D: np.sin(5 * D[:, 0]) + D[:, 1]
         a = optimize_acq(acq, SimplexDomain(3), AcqConfig(seed=7))
         b = optimize_acq(acq, SimplexDomain(3), AcqConfig(seed=7))
         assert np.array_equal(a, b)
 
     def test_all_non_finite_raises(self):
         with pytest.raises(NumericalError):
-            optimize_acq(lambda x: float("nan"), box_space(), AcqConfig(seed=0))
+            optimize_acq(lambda X: np.full(len(X), np.nan), box_space(), AcqConfig(seed=0))
 
     def test_partial_non_finite_survives(self):
-        def acq(d):
-            return float("nan") if d[0] > 0.5 else float(d[1])
+        def acq(D):
+            return np.where(D[:, 0] > 0.5, np.nan, D[:, 1])
 
         x = optimize_acq(acq, SimplexDomain(3), AcqConfig(seed=2))
         assert x[0] <= 0.5 + 1e-9
 
+    def test_one_value_per_row_required(self):
+        with pytest.raises(ValueError):
+            optimize_acq(lambda D: D[:, 0][:-1], SimplexDomain(3), AcqConfig(seed=0))
+
     def test_scores_each_distinct_candidate_once(self):
-        """acq must be a pure function of its argument: optimize_acq scores
-        each distinct candidate once and reuses that score when the
-        coordinate search comes back to the point."""
+        """acq must score each row as a pure function of that row:
+        optimize_acq scores each distinct candidate once and reuses that
+        score when the coordinate search comes back to the point."""
         c = np.array([0.4, 0.6])
         cases = [
-            (SimplexDomain(3), lambda d: -float((d[0] - 0.3) ** 2 + (d[1] - 0.5) ** 2)),
-            (box_space(), lambda x: -float(np.sum((x - c) ** 2))),
+            (SimplexDomain(3), lambda D: -((D[:, 0] - 0.3) ** 2 + (D[:, 1] - 0.5) ** 2)),
+            (box_space(), lambda X: -np.sum((X - c) ** 2, axis=1)),
         ]
         for domain, acq in cases:
             args = []
 
-            def counting(x):
-                args.append(np.asarray(x, dtype=float).tobytes())
-                return acq(x)
+            def counting(X):
+                args.extend(np.asarray(x, dtype=float).tobytes() for x in X)
+                return acq(X)
 
             got = optimize_acq(counting, domain, AcqConfig(seed=0))
             assert len(args) == len(set(args))
@@ -212,8 +300,42 @@ class TestOptimizeAcq:
 
     def test_box_result_in_box(self):
         space = BoundedParamSpace((ParamDim("lr", 1e-4, 1.0, scale="log"),))
-        x = optimize_acq(lambda x: -abs(math.log(x[0]) + 4.0), space, AcqConfig(seed=3))
+        x = optimize_acq(lambda X: -np.abs(np.log(X[:, 0]) + 4.0), space, AcqConfig(seed=3))
         assert space.contains(x)
+
+
+class TestWalkMatchesSequentialReference:
+    """Block scoring changes what a search costs, not where it goes: on
+    functions whose rows are scored independently, the lockstep walk ends
+    at exactly the reference's point and scores every candidate the
+    reference scored (plus the trials it speculated on)."""
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 15])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_simplex(self, n, seed):
+        f = seeded_function(seed, n)
+        cfg = AcqConfig(seed=seed, n_raw_candidates=64 if n == 15 else 128)
+        scored = []
+        acq = rowwise(f)
+        got = optimize_acq(lambda D: (scored.extend(d.tobytes() for d in D), acq(D))[1],
+                           SimplexDomain(n), cfg)
+        want, want_scored = sequential_optimize_acq(f, SimplexDomain(n), cfg)
+        assert np.array_equal(got, want)
+        assert want_scored <= set(scored)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_box(self, seed):
+        space = BoundedParamSpace((
+            ParamDim("a", -1.0, 2.0),
+            ParamDim("lr", 1e-4, 1.0, scale="log"),
+            ParamDim("k", 1, 9, integer=True),
+        ))
+        g = seeded_function(seed, 3)
+        f = lambda x: g(space.to_unit(x))
+        cfg = AcqConfig(seed=seed)
+        got = optimize_acq(rowwise(f), space, cfg)
+        want, _ = sequential_optimize_acq(f, space, cfg)
+        assert np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------
@@ -359,13 +481,6 @@ class TestNehvi:
         y = 0.3 + 0.5 * X[:, 0]
         model = build_gp(X, y, KernelParams(np.full(3, 0.9), 1.0, 1e-6))
 
-        class SlowWrapper:
-            def __init__(self, inner):
-                self.inner = inner
-
-            def posterior_joint(self, Xq):
-                return self.inner.posterior_joint(Xq)
-
         cand = np.array([0.5, 0.25, 0.25])
         cfg = AcqConfig(n_mc=64, seed=4)
         fast = nehvi_mc([model, model], cand, X, cfg=cfg)
@@ -373,50 +488,128 @@ class TestNehvi:
         assert fast == pytest.approx(slow, rel=1e-8, abs=1e-12)
 
 
-class FromScratchNehvi(NehviAcquisition):
-    """NEHVI with each candidate conditioned from scratch: matern52 kernel
-    rows, solve_triangular and cho_solve on every call, nothing cached
-    beyond the scenario draws."""
+class SlowWrapper:
+    """Hides a GP behind posterior_joint, so NEHVI takes its generic path."""
 
-    def _candidate_samples(self, delta):
+    def __init__(self, inner):
+        self.inner = inner
+
+    def posterior_joint(self, Xq):
+        return self.inner.posterior_joint(Xq)
+
+
+class FromScratchNehvi(NehviAcquisition):
+    """Per-candidate NEHVI oracle. Each candidate is conditioned from
+    scratch (matern52 kernel rows, solve_triangular and cho_solve on every
+    call) and its value is the mean over scenarios of hv_improvement against
+    the scenario's front; only the scenario draws are shared with
+    NehviAcquisition."""
+
+    def draws(self, cand):
         out = np.empty((self.cfg.n_mc, len(self.models)))
-        cand = np.atleast_2d(delta)
+        c = cand[None, :]
         for k, model in enumerate(self.models):
             p = model.params
             obs_mu, _ = model.posterior_joint(self.X)
             v_obs = solve_triangular(model.chol, matern52(model.X, self.X, p), lower=True)
-            ks_c = matern52(model.X, cand, p)
+            ks_c = matern52(model.X, c, p)
             v_c = solve_triangular(model.chol, ks_c, lower=True)[:, 0]
             mu_c = model.y_mean + model.y_scale * float(ks_c[:, 0] @ model.alpha)
             scale2 = model.y_scale * model.y_scale
-            cross = matern52(self.X, cand, p)[:, 0] - v_obs.T @ v_c
+            cross = matern52(self.X, c, p)[:, 0] - v_obs.T @ v_c
             sig_oc = scale2 * cross
             sig_cc = scale2 * max(p.signal_var - float(v_c @ v_c), 0.0)
             w = cho_solve((np.ascontiguousarray(self._obs_chol[k]), True), sig_oc)
             cond_var = max(sig_cc - float(sig_oc @ w), 0.0)
             resid = self._samples[:, :, k] - obs_mu[:, None]
-            cond_mean = mu_c + w @ resid
-            out[:, k] = cond_mean + math.sqrt(cond_var) * self._cand_z[k]
+            out[:, k] = mu_c + w @ resid + math.sqrt(cond_var) * self._cand_z[k]
         return out
+
+    def value(self, cand):
+        C = self.draws(cand)
+        fronts = [pareto_front(self._samples[:, j, :]) for j in range(self.cfg.n_mc)]
+        return float(np.mean([hv_improvement(f, c) for f, c in zip(fronts, C)]))
+
+
+def _fitted_state(n_obj, d=4, seed=None):
+    rng = np.random.default_rng(40 + n_obj if seed is None else seed)
+    X = np.vstack([np.eye(d), np.full(d, 1.0 / d), _simplex_history(rng, 9, k=d)])
+    W = rng.standard_normal((d, n_obj))
+    Y = np.sin(2.0 * X @ W) + 0.05 * rng.standard_normal((len(X), n_obj))
+    models = [fit_gp(X, Y[:, k], seed=k, restarts=3) for k in range(n_obj)]
+    cands = np.vstack([X[:4], _simplex_history(rng, 96, k=d)])
+    return models, X, cands
 
 
 class TestNehviMatchesFromScratchFormula:
-    """The cached per-candidate conditioning gives exactly the values of the
-    from-scratch formula, on fitted GPs."""
+    """Block scoring gives the per-candidate oracle's draws and values, on
+    fitted GPs, through the GP path and the generic posterior_joint path."""
 
-    @pytest.mark.parametrize("n_obj, n_mc", [(2, 64), (3, 8)])
-    def test_values_equal_on_fitted_gps(self, n_obj, n_mc):
-        rng = np.random.default_rng(40 + n_obj)
-        d = 4
-        X = np.vstack([np.eye(d), np.full(d, 1.0 / d), _simplex_history(rng, 9, k=d)])
-        W = rng.standard_normal((d, n_obj))
-        Y = np.sin(2.0 * X @ W) + 0.05 * rng.standard_normal((len(X), n_obj))
-        models = [fit_gp(X, Y[:, k], seed=k, restarts=3) for k in range(n_obj)]
+    @staticmethod
+    def _assert_matches_oracle(n_obj, n_mc, wrap):
+        models, X, cands = _fitted_state(n_obj)
         cfg = AcqConfig(n_mc=n_mc, seed=11)
-        acq = NehviAcquisition(models, X, cfg)
+        acq = NehviAcquisition([wrap(m) for m in models], X, cfg)
         oracle = FromScratchNehvi(models, X, cfg)
         assert not any(acq._obs_zero)
-        cands = np.vstack([X[:4], _simplex_history(rng, 196, k=d)])
-        for cand in cands:
-            assert np.array_equal(acq._candidate_samples(cand), oracle._candidate_samples(cand))
-            assert acq(cand) == oracle(cand)
+        draws = acq._candidate_samples(cands)
+        vals = acq(cands)
+        assert vals.shape == (len(cands),)
+        for i, cand in enumerate(cands):
+            # The first rows are observed points, where the conditional
+            # variance is 0 up to rounding (~1e-17); its square root turns
+            # that rounding into ~1e-8 in the draws.
+            tol = 2e-7 if i < 4 else 1e-12
+            np.testing.assert_allclose(draws[i], oracle.draws(cand), rtol=0, atol=tol)
+            assert vals[i] == pytest.approx(oracle.value(cand), rel=0, abs=tol)
+
+    @pytest.mark.parametrize("n_obj, n_mc", [(1, 64), (2, 64), (3, 8)])
+    def test_values_equal_on_fitted_gps(self, n_obj, n_mc):
+        self._assert_matches_oracle(n_obj, n_mc, lambda m: m)
+
+    @pytest.mark.parametrize("n_obj, n_mc", [(1, 64), (2, 64), (3, 8)])
+    def test_generic_path_values_equal_on_fitted_gps(self, n_obj, n_mc):
+        self._assert_matches_oracle(n_obj, n_mc, SlowWrapper)
+
+    @pytest.mark.parametrize("n_obj", [1, 2, 3])
+    def test_single_candidate_is_the_one_row_block(self, n_obj):
+        models, X, cands = _fitted_state(n_obj)
+        acq = NehviAcquisition(models, X, AcqConfig(n_mc=16, seed=3))
+        for cand in cands[:10]:
+            got = acq(cand)
+            assert isinstance(got, float)
+            assert got == acq(cand[None, :])[0]
+
+    def test_large_block_is_its_chunks(self):
+        models, X, cands = _fitted_state(2)
+        acq = NehviAcquisition(models, X, AcqConfig(n_mc=64, seed=5))
+        block = cands[:70]
+        chunks = np.concatenate([acq(block[:32]), acq(block[32:64]), acq(block[64:])])
+        assert np.array_equal(acq(block), chunks)
+
+    def test_dimension_mismatch_rejected(self):
+        models, X, cands = _fitted_state(2)
+        acq = NehviAcquisition(models, X, AcqConfig(n_mc=8))
+        for bad in (cands[:3, :3], cands[0, :3], cands[:2][None]):
+            with pytest.raises(ValueError):
+                acq(bad)
+
+
+class TestNehviSearchCost:
+    def test_block_calls_on_a_seeded_state(self):
+        """Pins the cost of one stage-2-sized search: one block for the raw
+        set, then one per lockstep round, each distinct candidate once."""
+        models, X, _ = _fitted_state(2, d=5, seed=7)
+        cfg = AcqConfig(n_mc=64, seed=13)
+        acq = NehviAcquisition(models, X, cfg)
+        blocks = []
+
+        def counting(D):
+            blocks.append([d.tobytes() for d in D])
+            return acq(D)
+
+        optimize_acq(counting, SimplexDomain(5), cfg)
+        rows = [key for block in blocks for key in block]
+        assert len(blocks[0]) == cfg.n_raw_candidates
+        assert len(rows) == len(set(rows))
+        assert (len(blocks), len(rows)) == (71, 1263)

@@ -270,6 +270,19 @@ class TestFuseGreedy:
         assert kept == [1, 3, 0]
         assert np.array_equal(delta, [1.0 / 3.0, 1.0 / 3.0, 0.0, 1.0 / 3.0])
 
+    def test_given_order_sets_the_leader(self):
+        # Qualities [-inf, 0, 0] order [1, 2, 0] by default; a given order
+        # leads with member 2 and keeps the leader's quality as the bar.
+        kept, _ = fuse_greedy([-math.inf, 0.0, 0.0], lambda d: 0.0, [2, 1, 0])
+        assert kept[0] == 2
+        assert kept == [2, 1, 0]
+        assert fuse_greedy([-math.inf, 0.0, 0.0], lambda d: -1.0, [2, 1, 0])[0] == [2]
+
+    def test_order_must_list_every_member_once(self):
+        for bad in ([0, 1], [0, 1, 1], [0, 1, 3]):
+            with pytest.raises(ValueError):
+                fuse_greedy([0.1, 0.2, 0.3], lambda d: 0.0, bad)
+
     def test_no_finite_standalone_quality_rejected(self):
         with pytest.raises(EvaluationFailedError):
             fuse_greedy([-math.inf, -math.inf], lambda d: 0.0)

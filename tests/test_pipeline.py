@@ -743,6 +743,32 @@ class TestFusionStage:
         assert [o.normalized[1] for o in standalone[1:]] == [0.0, 0.0]
         assert best_id == 2
 
+    def test_greedy_soup_leads_with_the_clip_tie_winner(self):
+        # The decimal-anchor tie of the test above: greedy soup must lead
+        # with member 2, as derive_windows does. Every trial pool is refused,
+        # so greedy keeps only its leader.
+        class Scorer:
+            def score(self, delta):
+                d = np.asarray(delta)
+                if d[0] == 1.0:
+                    raise EvaluationFailedError("member 0 diverged")
+                if np.count_nonzero(d) == 2 and np.all(d[d > 0] == 0.5):
+                    raise EvaluationFailedError("pool refused")
+                return {"loss": 1.0, "metric": 0.5 if d[2] == 1.0 else 0.4}
+
+        scorer = InProcessEvaluator(Scorer())
+        spec, standalone, best_id = derive_windows(scorer, LOSS_METRIC_SPEC, 3, seed=0)
+        assert [o.meta.failed for o in standalone] == [True, False, False]
+        assert [o.normalized[1] for o in standalone[1:]] == [0.0, 0.0]
+        _, state = run_mobo(3, scorer, spec, n_iter=0, seed=0, best_member_id=best_id,
+                            acq_cfg=CHEAP, gp_restarts=2)
+        methods, _ = fusion_baselines(
+            scorer, standalone, state, seed=0, learned_steps=2, learned_lr=0.1
+        )
+        assert best_id == 2
+        assert methods["greedy_swa"]["subset"] == [2]
+        assert methods["greedy_swa"]["delta"] == [0.0, 0.0, 1.0]
+
     def test_every_member_failing_raises(self):
         class Dead:
             def score(self, delta):
