@@ -33,6 +33,7 @@ import sys
 import time
 
 SIDES = ("parent", "change")
+HOST_KEYS = ("python", "numpy", "scipy", "blas", "nproc", "threads")
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -70,9 +71,7 @@ def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
 
 
 def quartiles(xs: list[float]) -> dict:
-    if len(xs) == 1:
-        return {"median": xs[0], "q1": xs[0], "q3": xs[0]}
-    q1, med, q3 = statistics.quantiles(xs, n=4, method="inclusive")
+    q1, med, q3 = statistics.quantiles(xs, n=4, method="inclusive") if len(xs) > 1 else xs * 3
     return {"median": round(med, 4), "q1": round(q1, 4), "q3": round(q3, 4)}
 
 
@@ -173,13 +172,13 @@ def main(argv=None) -> int:
         doc["workloads"][workload] = {"summary": {}, "pairs": pairs}
         for i, seed in enumerate(args.seeds):
             order = SIDES if i % 2 == 0 else SIDES[::-1]
-            pair = {"seed": seed, "first": order[0]}
-            for side in order:
-                pair[side] = run_once(checkouts[side], workload, seed, args.seconds)
-                prov = pair[side].pop("provenance", None)
+            runs = {side: run_once(checkouts[side], workload, seed, args.seconds) for side in order}
+            for run in runs.values():
+                prov = run.pop("provenance", None)
                 if prov and doc["host"] is None:
-                    doc["host"] = {k: prov[k] for k in prov if k not in ("workload", "seed", "loadavg_start", "git_commit")}
-            pairs.append({"seed": pair["seed"], "first": pair["first"], "parent": pair["parent"], "change": pair["change"]})
+                    doc["host"] = {k: prov[k] for k in HOST_KEYS}
+            pair = {"seed": seed, "first": order[0], "parent": runs["parent"], "change": runs["change"]}
+            pairs.append(pair)
             doc["workloads"][workload]["summary"] = summarize(pairs, better)
             for claim in args.claim:
                 cw, metric, ratio = claim.split(":")

@@ -119,7 +119,8 @@ class NehviAcquisition:
     Construction draws every random number the acquisition will use (observed
     scenario samples plus one normal per scenario for the candidate), so all
     candidate evaluations within the iteration share common random numbers
-    and the callable is a pure deterministic function of the candidate.
+    and the callable is deterministic: a candidate's value depends on the
+    other rows of its block only through rounding (see ``__call__``).
     ``obs_jitter[k]`` is the jitter objective k's joint posterior covariance
     at the observed points needed to factorize (0.0 when none).
     """

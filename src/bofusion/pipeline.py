@@ -775,12 +775,13 @@ def fusion_baselines(
     """Score the fixed fusion baselines and build the report's `methods` block.
 
     Uniform SWA, greedy soup (fusion.fuse_greedy over the members' summed
-    normalized metrics, tried in ``_member_order``) and learned SWA (fusion.fuse_learned on the loss
-    entry) are scored under stage 2's windowed spec. When the scorer fails
-    during learned SWA, the uniform coefficients stand in and the row says
-    `fallback_uniform`. best_member and mobo_fusion come from `standalone`
-    and the stage-2 state. Returns (methods, baseline observations in
-    scoring order); learned SWA's gradient probes are not observations.
+    normalized metrics, tried in ``_member_order``) and learned SWA
+    (fusion.fuse_learned on the loss entry) are scored under stage 2's
+    windowed spec. When the scorer fails during learned SWA, the uniform
+    coefficients stand in and the row says `fallback_uniform`. best_member
+    and mobo_fusion come from `standalone` and the stage-2 state. Returns
+    (methods, baseline observations in scoring order); learned SWA's
+    gradient probes are not observations.
     """
     spec = mobo_state.spec
     n = mobo_state.n_members

@@ -317,8 +317,12 @@ class TestWalkMatchesSequentialReference:
         cfg = AcqConfig(seed=seed, n_raw_candidates=64 if n == 15 else 128)
         scored = []
         acq = rowwise(f)
-        got = optimize_acq(lambda D: (scored.extend(d.tobytes() for d in D), acq(D))[1],
-                           SimplexDomain(n), cfg)
+
+        def recording(D):
+            scored.extend(d.tobytes() for d in D)
+            return acq(D)
+
+        got = optimize_acq(recording, SimplexDomain(n), cfg)
         want, want_scored = sequential_optimize_acq(f, SimplexDomain(n), cfg)
         assert np.array_equal(got, want)
         assert want_scored <= set(scored)
