@@ -16,9 +16,10 @@ median and quartiles, how many pairs the change won (by the metric's
 medians and the median of the paired ratios, all as parent over change for
 lower-is-better metrics.
 
---claim WORKLOAD:METRIC:RATIO adds a verdict: the change must win at least
-90% of the pairs, the medians must differ by more than the parent's
-interquartile range, and the median ratio must reach RATIO. The output file
+Each --claim WORKLOAD:METRIC:RATIO adds a verdict under ``claims``, keyed by
+the claim: the change must win at least 90% of the pairs, the medians must
+differ by more than the parent's interquartile range, and the median ratio
+must reach RATIO. The output file
 is rewritten after every pair, so an interrupted session keeps what it
 measured. Standard library only.
 """
@@ -165,6 +166,7 @@ def main(argv=None) -> int:
             f"in the order {', '.join(args.workload)}. Seeds: {args.seeds[0]}-{args.seeds[-1]}."
         ),
         "host": None,
+        "claims": {},
         "workloads": {},
     }
     for workload in args.workload:
@@ -183,7 +185,7 @@ def main(argv=None) -> int:
             for claim in args.claim:
                 cw, metric, ratio = claim.split(":")
                 if cw == workload:
-                    doc["claim"] = verdict(doc["workloads"][workload]["summary"], metric, cw, float(ratio))
+                    doc["claims"][claim] = verdict(doc["workloads"][workload]["summary"], metric, cw, float(ratio))
             with open(args.out, "w", encoding="utf-8") as fh:
                 json.dump(doc, fh, indent=1)
             p, c = pair["parent"], pair["change"]
@@ -191,8 +193,8 @@ def main(argv=None) -> int:
                   f"parent {p.get('metrics', {}).get('run_s', p.get('error'))} "
                   f"change {c.get('metrics', {}).get('run_s', c.get('error'))}", flush=True)
         print_summary(workload, doc["workloads"][workload]["summary"])
-    if "claim" in doc:
-        print("\nclaim:", json.dumps(doc["claim"]))
+    for claim, v in doc["claims"].items():
+        print(f"\nclaim {claim}:", json.dumps(v))
     return 0
 
 

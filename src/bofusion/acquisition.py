@@ -123,6 +123,9 @@ class NehviAcquisition:
     other rows of its block only through rounding (see ``__call__``).
     ``obs_jitter[k]`` is the jitter objective k's joint posterior covariance
     at the observed points needed to factorize (0.0 when none).
+    ``vectorized`` is True when a block is scored in one vectorized step
+    (K <= 2 with every objective a GpModel) and False when its rows are
+    scored one at a time, so that a block costs the sum of its rows.
     """
 
     def __init__(self, models, observed_x, cfg: AcqConfig, ref=None):
@@ -164,6 +167,7 @@ class NehviAcquisition:
             self._gp_terms.append(self._kernel_terms(model) if isinstance(model, _gp.GpModel) else None)
         self._samples = samples
         self.obs_jitter = tuple(obs_jitter)
+        self.vectorized = K <= 2 and all(t is not None for t in self._gp_terms)
 
         if K == 2:
             self._build_staircases()
@@ -234,22 +238,26 @@ class NehviAcquisition:
             sig_cc[i] = max(cov_j[-1, -1], 0.0)
         return mu_c, sig_oc, sig_cc
 
+    def _conditional(self, k: int, D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Objective k's conditional means (m, n_mc) and variances (m,) for
+        the rows of D, given each scenario's observed-value samples."""
+        model, terms = self.models[k], self._gp_terms[k]
+        if terms is not None:
+            mu_c, sig_oc, sig_cc = self._gp_moments(model, terms, D)
+        else:
+            mu_c, sig_oc, sig_cc = self._joint_moments(model, D)
+        if self._obs_zero[k]:
+            W = np.zeros_like(sig_oc)
+        else:
+            W = _gp._cho_solve(self._obs_chol[k], sig_oc)
+        cond_var = np.maximum(sig_cc - np.sum(sig_oc * W, axis=0), 0.0)
+        return mu_c[:, None] + W.T @ self._resid[k], cond_var
+
     def _candidate_samples(self, D: np.ndarray) -> np.ndarray:
-        """Per-scenario objective draws for the rows of D, each conditioned
-        on the scenario's observed-value samples. Shape (m, n_mc, K)."""
+        """Per-scenario objective draws for the rows of D. Shape (m, n_mc, K)."""
         out = np.empty((len(D), self.cfg.n_mc, len(self.models)))
-        for k, model in enumerate(self.models):
-            terms = self._gp_terms[k]
-            if terms is not None:
-                mu_c, sig_oc, sig_cc = self._gp_moments(model, terms, D)
-            else:
-                mu_c, sig_oc, sig_cc = self._joint_moments(model, D)
-            if self._obs_zero[k]:
-                W = np.zeros_like(sig_oc)
-            else:
-                W = _gp._cho_solve(self._obs_chol[k], sig_oc)
-            cond_var = np.maximum(sig_cc - np.sum(sig_oc * W, axis=0), 0.0)
-            cond_mean = mu_c[:, None] + W.T @ self._resid[k]
+        for k in range(len(self.models)):
+            cond_mean, cond_var = self._conditional(k, D)
             out[:, :, k] = cond_mean + np.sqrt(cond_var)[:, None] * self._cand_z[k]
         return out
 
@@ -309,7 +317,7 @@ def _project_simplex(u: np.ndarray) -> np.ndarray | None:
     return u / s
 
 
-def _coordinate_walk(u: np.ndarray, v: float, project, cfg: AcqConfig):
+def _coordinate_walk(u: np.ndarray, v: float, project, cfg: AcqConfig, speculate: bool):
     """One restart's cyclic first-improvement coordinate search from (u, v).
 
     Each pass tries +step then -step along every coordinate in turn,
@@ -318,11 +326,13 @@ def _coordinate_walk(u: np.ndarray, v: float, project, cfg: AcqConfig):
     local_steps passes run per step, which halves from 0.25 down to 1e-4
     once a pass finds nothing.
 
-    A generator: it yields the remaining trials of the current pass around
-    u as one (m, d) block and is sent their m values. An improvement moves u
-    and the pass resumes after that move with a fresh block, so given the
-    same values the walk takes the same path as one trial at a time.
-    Returns the final (u, v).
+    A generator: it yields trials around u as an (m, d) block and is sent
+    their m values. With `speculate` the block is the rest of the current
+    pass; an improvement moves u and the pass resumes after that move with
+    a fresh block, so the trials after the move are discarded. Without it
+    the block is the next trial alone. Either way, given the same values
+    the walk takes the same path as one trial at a time. Returns the final
+    (u, v).
     """
     moves = [(i, sgn) for i in range(len(u)) for sgn in (1.0, -1.0)]
     step = 0.25
@@ -332,8 +342,10 @@ def _coordinate_walk(u: np.ndarray, v: float, project, cfg: AcqConfig):
             start = 0
             while start < len(moves):
                 trials = []
-                for j in range(start, len(moves)):
+                j = start
+                while j < len(moves) and (speculate or not trials):
                     i, sgn = moves[j]
+                    j += 1
                     trial = u.copy()
                     trial[i] += sgn * step
                     trial = project(trial)
@@ -342,11 +354,11 @@ def _coordinate_walk(u: np.ndarray, v: float, project, cfg: AcqConfig):
                 if not trials:
                     break
                 vals = yield np.stack([t for _, t in trials])
-                start = len(moves)
-                for (j, trial), tv in zip(trials, vals):
+                start = j
+                for (after, trial), tv in zip(trials, vals):
                     if tv > v:
                         u, v, improved = trial, tv, True
-                        start = j + 1
+                        start = after
                         break
             if not improved:
                 break
@@ -372,7 +384,10 @@ def optimize_acq(acq, domain, cfg: AcqConfig | None = None) -> np.ndarray:
     restarts then walk in lockstep: each round collects every unfinished
     walk's pending trials, scores the ones not seen before in one block, and
     sends each walk its values. The walks never interact, so each follows
-    the path it would follow alone.
+    the path it would follow alone. Each walk's pending trials are the rest
+    of its pass, which it may discard after a move; an acquisition with a
+    false ``vectorized`` attribute scores a block row by row, so there each
+    walk sends only its next trial and no discarded trial is scored.
     """
     cfg = cfg or AcqConfig()
     rng = np.random.default_rng(cfg.seed)
@@ -413,7 +428,11 @@ def optimize_acq(acq, domain, cfg: AcqConfig | None = None) -> np.ndarray:
         raise NumericalError("acquisition returned non-finite values for every candidate")
 
     top = np.argsort(-vals, kind="stable")[: cfg.n_restarts]
-    walks = [_coordinate_walk(units[i].copy(), vals[i], project, cfg) for i in top if vals[i] > -math.inf]
+    speculate = getattr(acq, "vectorized", True)
+    walks = [
+        _coordinate_walk(units[i].copy(), vals[i], project, cfg, speculate)
+        for i in top if vals[i] > -math.inf
+    ]
     results: list = [None] * len(walks)
     pending: dict[int, np.ndarray] = {}
 

@@ -173,24 +173,22 @@ def pool_delta(n: int, ids: Sequence[int]) -> np.ndarray:
 def fuse_greedy(
     singles: Sequence[float],
     quality: Callable[[np.ndarray], float],
-    order: Sequence[int] | None = None,
+    order: Sequence[int],
 ) -> tuple[list[int], np.ndarray]:
     """Greedy soup (Wortsman et al., 2022) in coefficient space.
 
     `singles[i]` is member i's standalone quality (higher is better, -inf
     for a member that could not be scored). Members are tried in `order`,
-    by default decreasing standalone quality with ties to the lower id; the
-    first one leads the pool, and each later one is kept iff the uniform
-    average of the pool with it scores at least the pool's current quality.
+    which lists every member id once, best member first; the first one
+    leads the pool, and each later one is kept iff the uniform average of
+    the pool with it scores at least the pool's current quality.
     `quality(delta)` is called once per trial pool, n - 1 times; a trial it
     cannot score should return -inf, and is never kept.
 
     Returns (kept member ids in inclusion order, their pool coefficients).
     """
     n = len(singles)
-    if order is None:
-        order = sorted(range(n), key=lambda i: (-singles[i], i))
-    elif sorted(order) != list(range(n)):
+    if sorted(order) != list(range(n)):
         raise ValueError("order must list every member id once")
     kept = [order[0]]
     best_q = float(singles[order[0]])

@@ -312,11 +312,10 @@ def test_criterion_4_budget_fidelity():
 # criterion 5: fusion baselines against module examples and exhaustive search
 
 
-def _greedy_replay(table, singles):
+def _greedy_replay(table, order):
     """Definitional greedy replay over an exhaustively computed subset-quality
-    table: sort by (-standalone quality, id), then grow the pool whenever the
+    table: go through the members in `order`, growing the pool whenever the
     trial pool's tabulated quality does not decrease."""
-    order = sorted(range(len(singles)), key=lambda i: (-singles[i], i))
     kept = [order[0]]
     best_q = table[frozenset(kept)]
     for mid in order[1:]:
@@ -372,8 +371,10 @@ def test_criterion_5_fusion_baselines_match_brute_force():
                 table[frozenset(combo)] = quality(uniform_over(combo))
         singles = [table[frozenset([i])] for i in range(n)]
 
-        kept, delta = fuse_greedy(singles, quality)
-        want_kept, want_q = _greedy_replay(table, singles)
+        # members by decreasing standalone quality, ties to the lower id
+        order = sorted(range(n), key=lambda i: (-singles[i], i))
+        kept, delta = fuse_greedy(singles, quality, order)
+        want_kept, want_q = _greedy_replay(table, order)
         same = sorted(kept) == sorted(want_kept) and np.array_equal(delta, uniform_over(kept))
         same = same and np.allclose(
             fuse(members, delta), fuse_uniform(members, kept), rtol=0.0, atol=1e-12

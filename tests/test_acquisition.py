@@ -217,6 +217,21 @@ def rowwise(f):
     return lambda X: np.array([f(x) for x in X])
 
 
+class RowByRow:
+    """A block acquisition that scores each row with the scalar f, records
+    every block, and declares that a block costs the sum of its rows."""
+
+    vectorized = False
+
+    def __init__(self, f):
+        self.f = f
+        self.blocks = []
+
+    def __call__(self, X):
+        self.blocks.append([x.tobytes() for x in X])
+        return np.array([self.f(x) for x in X])
+
+
 def seeded_function(seed, d):
     """A bumpy scalar function of a d-vector with plateaus (rounded values),
     so ties between trials and between restarts occur, and a region where it
@@ -340,6 +355,22 @@ class TestWalkMatchesSequentialReference:
         got = optimize_acq(rowwise(f), space, cfg)
         want, _ = sequential_optimize_acq(f, space, cfg)
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 15])
+    def test_row_by_row_acquisition_scores_only_the_reference_candidates(self, n):
+        """Without vectorized scoring each walk sends one trial per round,
+        so the search scores exactly the reference's candidates, at most
+        one per restart in each round after the raw set."""
+        f = seeded_function(n, n)
+        cfg = AcqConfig(seed=n, n_raw_candidates=64 if n == 15 else 128)
+        acq = RowByRow(f)
+        got = optimize_acq(acq, SimplexDomain(n), cfg)
+        want, want_scored = sequential_optimize_acq(f, SimplexDomain(n), cfg)
+        assert np.array_equal(got, want)
+        rows = [key for block in acq.blocks for key in block]
+        assert len(rows) == len(want_scored) and set(rows) == want_scored
+        assert len(acq.blocks[0]) == cfg.n_raw_candidates
+        assert max(len(block) for block in acq.blocks[1:]) <= cfg.n_restarts
 
 
 # ---------------------------------------------------------------------------
@@ -509,8 +540,10 @@ class FromScratchNehvi(NehviAcquisition):
     the scenario's front; only the scenario draws are shared with
     NehviAcquisition."""
 
-    def draws(self, cand):
-        out = np.empty((self.cfg.n_mc, len(self.models)))
+    def moments(self, cand):
+        """Per objective: the conditional means over the scenarios (n_mc,)
+        and the conditional variance, before its square root."""
+        out = []
         c = cand[None, :]
         for k, model in enumerate(self.models):
             p = model.params
@@ -526,8 +559,14 @@ class FromScratchNehvi(NehviAcquisition):
             w = cho_solve((np.ascontiguousarray(self._obs_chol[k]), True), sig_oc)
             cond_var = max(sig_cc - float(sig_oc @ w), 0.0)
             resid = self._samples[:, :, k] - obs_mu[:, None]
-            out[:, k] = mu_c + w @ resid + math.sqrt(cond_var) * self._cand_z[k]
+            out.append((mu_c + w @ resid, cond_var))
         return out
+
+    def draws(self, cand):
+        return np.stack(
+            [mean + math.sqrt(var) * z for (mean, var), z in zip(self.moments(cand), self._cand_z)],
+            axis=1,
+        )
 
     def value(self, cand):
         C = self.draws(cand)
@@ -541,7 +580,7 @@ def _fitted_state(n_obj, d=4, seed=None):
     W = rng.standard_normal((d, n_obj))
     Y = np.sin(2.0 * X @ W) + 0.05 * rng.standard_normal((len(X), n_obj))
     models = [fit_gp(X, Y[:, k], seed=k, restarts=3) for k in range(n_obj)]
-    cands = np.vstack([X[:4], _simplex_history(rng, 96, k=d)])
+    cands = np.vstack([X[:4], _simplex_history(rng, 196, k=d)])
     return models, X, cands
 
 
@@ -556,13 +595,17 @@ class TestNehviMatchesFromScratchFormula:
         acq = NehviAcquisition([wrap(m) for m in models], X, cfg)
         oracle = FromScratchNehvi(models, X, cfg)
         assert not any(acq._obs_zero)
+        conditionals = [acq._conditional(k, cands) for k in range(n_obj)]
         draws = acq._candidate_samples(cands)
         vals = acq(cands)
         assert vals.shape == (len(cands),)
         for i, cand in enumerate(cands):
+            for (mean, var), (want_mean, want_var) in zip(conditionals, oracle.moments(cand)):
+                np.testing.assert_allclose(mean[i], want_mean, rtol=0, atol=1e-12)
+                assert var[i] == pytest.approx(want_var, rel=0, abs=1e-12)
             # The first rows are observed points, where the conditional
             # variance is 0 up to rounding (~1e-17); its square root turns
-            # that rounding into ~1e-8 in the draws.
+            # that rounding into ~1e-8 in the draws and the values they feed.
             tol = 2e-7 if i < 4 else 1e-12
             np.testing.assert_allclose(draws[i], oracle.draws(cand), rtol=0, atol=tol)
             assert vals[i] == pytest.approx(oracle.value(cand), rel=0, abs=tol)
@@ -600,6 +643,14 @@ class TestNehviMatchesFromScratchFormula:
 
 
 class TestNehviSearchCost:
+    @pytest.mark.parametrize("n_obj, wrap, want", [
+        (1, None, True), (2, None, True), (3, None, False), (2, SlowWrapper, False),
+    ])
+    def test_vectorized_only_when_a_block_is_one_step(self, n_obj, wrap, want):
+        models, X, _ = _fitted_state(n_obj)
+        models = [wrap(m) for m in models] if wrap else models
+        assert NehviAcquisition(models, X, AcqConfig(n_mc=8)).vectorized is want
+
     def test_block_calls_on_a_seeded_state(self):
         """Pins the cost of one stage-2-sized search: one block for the raw
         set, then one per lockstep round, each distinct candidate once."""

@@ -198,6 +198,11 @@ def one_hot_qualities(n, quality):
     return [quality(np.eye(n)[i]) for i in range(n)]
 
 
+def by_quality(singles):
+    """Member ids by decreasing standalone quality, ties to the lower id."""
+    return sorted(range(len(singles)), key=lambda i: (-singles[i], i))
+
+
 def greedy_oracle(n, quality):
     """Definitional greedy replay over an exhaustively precomputed
     subset-quality table (independent of the library implementation)."""
@@ -221,21 +226,23 @@ def greedy_oracle(n, quality):
 
 class TestFuseGreedy:
     def test_identical_members_keep_all(self):
-        kept, delta = fuse_greedy([1.0] * 4, lambda d: 1.0)
+        kept, delta = fuse_greedy([1.0] * 4, lambda d: 1.0, range(4))
         assert sorted(kept) == [0, 1, 2, 3]
         assert np.array_equal(delta, np.full(4, 0.25))
 
     def test_single_good_member(self):
         ms = member_set([[0.0], [10.0], [-10.0]])
         quality = on_weights(ms, lambda w: -float((w[0] - 0.0) ** 2))
-        kept, delta = fuse_greedy(one_hot_qualities(3, quality), quality)
+        singles = one_hot_qualities(3, quality)
+        kept, delta = fuse_greedy(singles, quality, by_quality(singles))
         assert kept == [0]
         assert fuse(ms, delta)[0] == pytest.approx(0.0)
 
     def test_three_member_worked_instance(self):
         ms = member_set([[0.0], [1.0], [2.0]])
         quality = on_weights(ms, lambda w: -float((w[0] - 1.0) ** 2))
-        kept, delta = fuse_greedy(one_hot_qualities(3, quality), quality)
+        singles = one_hot_qualities(3, quality)
+        kept, delta = fuse_greedy(singles, quality, by_quality(singles))
         assert sorted(kept) == greedy_oracle(3, quality)
         # member 1 leads; averaging in member 0 or 2 moves the pool off 1.0,
         # so neither joins
@@ -250,29 +257,34 @@ class TestFuseGreedy:
             target = rng.standard_normal(dim)
             ms = member_set(vectors)
             quality = on_weights(ms, lambda w: -float(np.sum((w - target) ** 2)))
-            kept, delta = fuse_greedy(one_hot_qualities(n, quality), quality)
+            singles = one_hot_qualities(n, quality)
+            kept, delta = fuse_greedy(singles, quality, by_quality(singles))
             assert sorted(kept) == greedy_oracle(n, quality), f"trial {trial}"
             assert np.allclose(fuse(ms, delta), np.mean(vectors[sorted(kept)], axis=0))
 
     def test_sort_is_by_quality_then_id(self):
         seen = []
-        kept, _ = fuse_greedy([0.5, 0.7, 0.7], lambda d: (seen.append(d.copy()), -1.0)[1])
+        singles = [0.5, 0.7, 0.7]
+        kept, _ = fuse_greedy(singles, lambda d: (seen.append(d.copy()), -1.0)[1], by_quality(singles))
         assert kept == [1]
-        # one call per trial pool: member 2 (tied with 1, higher id), then 0
+        # one call per trial pool, in the given order: member 2 (tied with
+        # 1, higher id), then 0
         assert [list(np.flatnonzero(d)) for d in seen] == [[1, 2], [0, 1]]
 
     def test_failed_trial_is_left_out(self):
         # member 1's trial fails; member 0 could not be scored at all and is
         # tried last
+        singles = [-math.inf, 0.5, 0.5, 0.5]
         kept, delta = fuse_greedy(
-            [-math.inf, 0.5, 0.5, 0.5], lambda d: -math.inf if d[2] > 0 else 0.5
+            singles, lambda d: -math.inf if d[2] > 0 else 0.5, by_quality(singles)
         )
         assert kept == [1, 3, 0]
         assert np.array_equal(delta, [1.0 / 3.0, 1.0 / 3.0, 0.0, 1.0 / 3.0])
 
     def test_given_order_sets_the_leader(self):
-        # Qualities [-inf, 0, 0] order [1, 2, 0] by default; a given order
-        # leads with member 2 and keeps the leader's quality as the bar.
+        # Qualities [-inf, 0, 0] rank [1, 2, 0] by quality alone; the order
+        # [2, 1, 0] leads with member 2 and keeps the leader's quality as
+        # the bar.
         kept, _ = fuse_greedy([-math.inf, 0.0, 0.0], lambda d: 0.0, [2, 1, 0])
         assert kept[0] == 2
         assert kept == [2, 1, 0]
@@ -285,7 +297,7 @@ class TestFuseGreedy:
 
     def test_no_finite_standalone_quality_rejected(self):
         with pytest.raises(EvaluationFailedError):
-            fuse_greedy([-math.inf, -math.inf], lambda d: 0.0)
+            fuse_greedy([-math.inf, -math.inf], lambda d: 0.0, [0, 1])
 
 
 # ---------------------------------------------------------------------------
