@@ -7,12 +7,16 @@ for extreme z). nehvi_mc is a q=1 Monte-Carlo noisy expected hypervolume
 improvement: each MC scenario resamples the *observed* objective values from
 the joint latent posterior, rebuilds the front, and measures the candidate's
 hypervolume gain against it. Scenarios share one per-iteration seed so
-candidates are compared under common random numbers.
+candidates are compared under common random numbers. Each scenario's front
+is partitioned into cells once per iteration (``pareto._partition``), so the
+gain of every candidate in every scenario, for any number of objectives, is
+one ``pareto._hvi`` call over padded (n_mc, cells, ...) arrays.
 
 Acquisitions score blocks: an acquisition handed to ``optimize_acq`` maps an
 ``(m, d)`` array of candidates to ``m`` values, and ``NehviAcquisition``
 conditions a whole block on each GP objective with one pair of kernel
-matrices and one pair of multi-right-hand-side solves. ``optimize_acq``
+matrices and one pair of multi-right-hand-side solves (on any other model,
+with one ``posterior_joint`` call). ``optimize_acq``
 scores its raw candidates in one call and runs its coordinate-search restarts
 in lockstep, so each round of the search is one call over every active
 restart's pending trials (the batched ``optimize_acqf`` idea of BoTorch,
@@ -34,9 +38,11 @@ from .errors import NumericalError
 #: Returned by log_ei when improvement is impossible (sigma = 0, mu <= best).
 LOG_EI_FLOOR = -1e12
 
-#: NehviAcquisition scores larger blocks this many rows at a time, which
-#: bounds the (rows, n_mc, staircase width) arrays of the K=2 gain.
+#: NehviAcquisition scores larger blocks at most this many rows at a time,
+#: and fewer when the (rows, n_mc, cells) arrays of the gain would exceed
+#: _CHUNK_CELLS entries.
 _CHUNK_ROWS = 32
+_CHUNK_CELLS = 1 << 21
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
@@ -123,9 +129,6 @@ class NehviAcquisition:
     other rows of its block only through rounding (see ``__call__``).
     ``obs_jitter[k]`` is the jitter objective k's joint posterior covariance
     at the observed points needed to factorize (0.0 when none).
-    ``vectorized`` is True when a block is scored in one vectorized step
-    (K <= 2 with every objective a GpModel) and False when its rows are
-    scored one at a time, so that a block costs the sum of its rows.
     """
 
     def __init__(self, models, observed_x, cfg: AcqConfig, ref=None):
@@ -167,16 +170,18 @@ class NehviAcquisition:
             self._gp_terms.append(self._kernel_terms(model) if isinstance(model, _gp.GpModel) else None)
         self._samples = samples
         self.obs_jitter = tuple(obs_jitter)
-        self.vectorized = K <= 2 and all(t is not None for t in self._gp_terms)
 
-        if K == 2:
-            self._build_staircases()
-        elif K >= 3:
-            self._fronts = [
-                _pareto.pareto_front(samples[:, j, :]) for j in range(n_mc)
-            ]
-        else:
-            self._base1 = np.maximum(samples[:, :, 0].max(axis=0), 0.0)
+        # Every scenario's partition, padded to the widest with cells that
+        # add nothing (l = u = 0, h = inf). An empty front has shape (0, 0).
+        fronts = [_pareto.pareto_front(samples[:, j, :]).points for j in range(n_mc)]
+        parts = [_pareto._partition(f if len(f) else np.zeros((0, K))) for f in fronts]
+        width = max(len(H) for _, _, H in parts)
+        self._L = np.zeros((K - 1, n_mc, width))
+        self._U = np.zeros((K - 1, n_mc, width))
+        self._H = np.full((n_mc, width), np.inf)
+        for j, (L, U, H) in enumerate(parts):
+            self._L[:, j, : len(H)], self._U[:, j, : len(H)], self._H[j, : len(H)] = L, U, H
+        self._chunk = max(1, min(_CHUNK_ROWS, _CHUNK_CELLS // (n_mc * width)))
 
     def _kernel_terms(self, model: _gp.GpModel) -> tuple:
         """What every candidate's conditioning on a GP objective reuses:
@@ -188,26 +193,6 @@ class NehviAcquisition:
         ks = _gp._matern52_scaled(A_train, a2_train, A_obs, a2_obs, model.params.signal_var)
         V_obs = _gp._tri_solve(model.chol, ks)
         return A_train, a2_train, A_obs, a2_obs, V_obs, model.y_scale * model.y_scale
-
-    def _build_staircases(self):
-        n_mc = self.cfg.n_mc
-        stairs = []
-        width = 0
-        for j in range(n_mc):
-            pts = _pareto.pareto_front(self._samples[:, j, :]).points
-            sx, sy = (_pareto._staircase2d(pts) if len(pts) else (np.empty(0), np.empty(0)))
-            stairs.append((sx, sy))
-            width = max(width, len(sx))
-        # Pad with x = 0 / y = +inf columns, which contribute zero gain.
-        SX = np.zeros((n_mc, width))
-        SY = np.full((n_mc, width), np.inf)
-        for j, (sx, sy) in enumerate(stairs):
-            SX[j, : len(sx)] = sx
-            SY[j, : len(sy)] = sy
-        self._SX = SX
-        self._SY = SY
-        self._NXT = np.concatenate([SX[:, 1:], np.zeros((n_mc, 1))], axis=1) if width else SX
-        self._SX0 = SX[:, 0] if width else np.zeros(n_mc)
 
     def _gp_moments(self, model: _gp.GpModel, terms: tuple, D: np.ndarray):
         """Candidate means, observed-candidate covariances (n_obs, m) and
@@ -224,19 +209,13 @@ class NehviAcquisition:
         return mu_c, scale2 * cross, sig_cc
 
     def _joint_moments(self, model, D: np.ndarray):
-        """``_gp_moments`` for any model with ``posterior_joint``, one
-        candidate at a time."""
-        mu_c = np.empty(len(D))
-        sig_oc = np.empty((len(self.X), len(D)))
-        sig_cc = np.empty(len(D))
-        for i, cand in enumerate(D):
-            mu_j, cov_j = model.posterior_joint(np.vstack([self.X, cand]))
-            mu_j = np.asarray(mu_j, dtype=float).ravel()
-            cov_j = np.asarray(cov_j, dtype=float)
-            mu_c[i] = mu_j[-1]
-            sig_oc[:, i] = cov_j[:-1, -1]
-            sig_cc[i] = max(cov_j[-1, -1], 0.0)
-        return mu_c, sig_oc, sig_cc
+        """``_gp_moments`` for any model with ``posterior_joint``, from one
+        joint posterior over the observed points and the whole block."""
+        n = len(self.X)
+        mu_j, cov_j = model.posterior_joint(np.vstack([self.X, D]))
+        mu_j = np.asarray(mu_j, dtype=float).ravel()
+        cov_j = np.asarray(cov_j, dtype=float)
+        return mu_j[n:], cov_j[:n, n:], np.maximum(np.diag(cov_j)[n:], 0.0)
 
     def _conditional(self, k: int, D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Objective k's conditional means (m, n_mc) and variances (m,) for
@@ -261,45 +240,26 @@ class NehviAcquisition:
             out[:, :, k] = cond_mean + np.sqrt(cond_var)[:, None] * self._cand_z[k]
         return out
 
-    def _gains(self, C: np.ndarray) -> np.ndarray:
-        """Mean hypervolume gain over the scenarios for each candidate's
-        draws C (m, n_mc, K)."""
-        K = C.shape[2]
-        if K == 1:
-            gains = np.maximum(C[:, :, 0], 0.0) - self._base1
-            return np.maximum(gains, 0.0).mean(axis=1)
-        if K == 2:
-            a, b = C[:, :, 0], C[:, :, 1]
-            pos = (a > 0.0) & (b > 0.0)
-            first = np.maximum(0.0, a - self._SX0) * np.maximum(b, 0.0)
-            seg = np.maximum(0.0, np.minimum(a[:, :, None], self._SX) - self._NXT)
-            height = np.maximum(0.0, b[:, :, None] - self._SY)
-            return ((first + (seg * height).sum(axis=2)) * pos).mean(axis=1)
-        return np.array([
-            np.mean([_pareto.hv_improvement(front, c) for front, c in zip(self._fronts, draws)])
-            for draws in C
-        ])
-
     def __call__(self, delta):
         """NEHVI of each row of an (m, d) block of candidates, as m values;
         a single 1-D candidate gives a float.
 
         For a GP objective a block costs two kernel matrices, one triangular
         and one Cholesky solve with m right-hand sides and one product with
-        the scenario residuals; K=1 and K=2 gains are computed on (m, n_mc,
-        ...) arrays. K >= 3 gains, and objectives that are not a GpModel,
-        go one row at a time. Blocks of more than 32 rows are scored 32 rows
-        at a time, so a row's value depends only on the rows of its chunk,
-        and on those only through floating-point rounding.
+        the scenario residuals; the gains are one ``pareto._hvi`` over (m,
+        n_mc, cells) arrays. Larger blocks are scored in chunks of 32 rows,
+        or fewer when the scenarios' partitions are wide, so a row's value
+        depends only on the rows of its chunk, and on those only through
+        floating-point rounding.
         """
         D = np.asarray(delta, dtype=float)
         if D.ndim not in (1, 2) or D.shape[-1] != self.X.shape[1]:
             raise ValueError("candidate/history dimension mismatch")
         rows = np.atleast_2d(D)
         vals = np.empty(len(rows))
-        for i in range(0, len(rows), _CHUNK_ROWS):
-            chunk = rows[i : i + _CHUNK_ROWS]
-            vals[i : i + _CHUNK_ROWS] = self._gains(self._candidate_samples(chunk))
+        for i in range(0, len(rows), self._chunk):
+            C = self._candidate_samples(rows[i : i + self._chunk])
+            vals[i : i + self._chunk] = _pareto._hvi(C, self._L, self._U, self._H).mean(axis=1)
         return float(vals[0]) if D.ndim == 1 else vals
 
 
@@ -317,7 +277,7 @@ def _project_simplex(u: np.ndarray) -> np.ndarray | None:
     return u / s
 
 
-def _coordinate_walk(u: np.ndarray, v: float, project, cfg: AcqConfig, speculate: bool):
+def _coordinate_walk(u: np.ndarray, v: float, project, cfg: AcqConfig):
     """One restart's cyclic first-improvement coordinate search from (u, v).
 
     Each pass tries +step then -step along every coordinate in turn,
@@ -327,10 +287,9 @@ def _coordinate_walk(u: np.ndarray, v: float, project, cfg: AcqConfig, speculate
     once a pass finds nothing.
 
     A generator: it yields trials around u as an (m, d) block and is sent
-    their m values. With `speculate` the block is the rest of the current
-    pass; an improvement moves u and the pass resumes after that move with
-    a fresh block, so the trials after the move are discarded. Without it
-    the block is the next trial alone. Either way, given the same values
+    their m values. The block is the rest of the current pass; an
+    improvement moves u and the pass resumes after that move with a fresh
+    block, so the trials after the move are discarded. Given the same values
     the walk takes the same path as one trial at a time. Returns the final
     (u, v).
     """
@@ -342,19 +301,17 @@ def _coordinate_walk(u: np.ndarray, v: float, project, cfg: AcqConfig, speculate
             start = 0
             while start < len(moves):
                 trials = []
-                j = start
-                while j < len(moves) and (speculate or not trials):
+                for j in range(start, len(moves)):
                     i, sgn = moves[j]
-                    j += 1
                     trial = u.copy()
                     trial[i] += sgn * step
                     trial = project(trial)
                     if trial is not None:
-                        trials.append((j, trial))
+                        trials.append((j + 1, trial))
                 if not trials:
                     break
                 vals = yield np.stack([t for _, t in trials])
-                start = j
+                start = len(moves)
                 for (after, trial), tv in zip(trials, vals):
                     if tv > v:
                         u, v, improved = trial, tv, True
@@ -385,9 +342,7 @@ def optimize_acq(acq, domain, cfg: AcqConfig | None = None) -> np.ndarray:
     walk's pending trials, scores the ones not seen before in one block, and
     sends each walk its values. The walks never interact, so each follows
     the path it would follow alone. Each walk's pending trials are the rest
-    of its pass, which it may discard after a move; an acquisition with a
-    false ``vectorized`` attribute scores a block row by row, so there each
-    walk sends only its next trial and no discarded trial is scored.
+    of its pass, which it may discard after a move.
     """
     cfg = cfg or AcqConfig()
     rng = np.random.default_rng(cfg.seed)
@@ -428,9 +383,8 @@ def optimize_acq(acq, domain, cfg: AcqConfig | None = None) -> np.ndarray:
         raise NumericalError("acquisition returned non-finite values for every candidate")
 
     top = np.argsort(-vals, kind="stable")[: cfg.n_restarts]
-    speculate = getattr(acq, "vectorized", True)
     walks = [
-        _coordinate_walk(units[i].copy(), vals[i], project, cfg, speculate)
+        _coordinate_walk(units[i].copy(), vals[i], project, cfg)
         for i in top if vals[i] > -math.inf
     ]
     results: list = [None] * len(walks)

@@ -28,7 +28,7 @@ from .errors import (
     UsageError,
 )
 from .fusion import SimplexCoefficients, atomic_write, fuse, load_member_set, save_checkpoint
-from .pareto import hv_method, hypervolume, pareto_front
+from .pareto import hypervolume, pareto_front
 from . import pipeline as pl
 
 _CSV_HELP = """\
@@ -85,7 +85,6 @@ def _build_parser() -> _Parser:
 
     p = add("hv", "hypervolume of a point file (zero reference)")
     p.add_argument("--points", required=True, help="JSON array of points, or CSV")
-    p.add_argument("--mc-samples", type=int, default=100_000)
 
     p = add("demo-misalign", "stage-2 comparison on a certified misaligned landscape")
     p.add_argument("--out", required=True, help="output directory")
@@ -165,10 +164,7 @@ def _cmd_hpo(args) -> int:
         for c in clients:
             c.close()
     os.makedirs(args.out, exist_ok=True)
-    rows = pl.history_rows("hpbo", state.history, 0)
-    for r in rows:
-        if r["stage_index"] == state.best_index:
-            r["on_front"] = 1
+    rows = pl.history_rows("hpbo", state.history, 0, frozenset({state.best_index}))
     pl.write_history_csv(os.path.join(args.out, "history.csv"), rows)
     pl.write_json(os.path.join(args.out, "best_lambda.json"), {
         "schema": pl.REPORT_SCHEMA,
@@ -305,9 +301,8 @@ def _read_points(path: str) -> np.ndarray:
 def _cmd_hv(args) -> int:
     points = _read_points(args.points)
     front = pareto_front(points)
-    value = hypervolume(front, mc_samples=args.mc_samples, mc_seed=args.seed)
-    method = hv_method(points.shape[1])
-    print(f"hypervolume={value:.6g} backend={method} front_size={len(front)}")
+    value = hypervolume(front)
+    print(f"hypervolume={value:.6g} front_size={len(front)}")
     return 0
 
 

@@ -1,18 +1,24 @@
 """Pareto fronts and hypervolume under the all-maximize convention.
 
 All score vectors are normalized higher-is-better values, so the reference
-point is the zero vector throughout. Hypervolume is exact for K <= 3
-(descending sweep in 2-d, slicing in 3-d) and seeded Monte Carlo above that.
+point is the zero vector throughout. Hypervolume and hypervolume improvement
+are exact for every K and share one partition of the region a front leaves
+undominated into axis-aligned columns (the cell decomposition behind qEHVI:
+Daulton et al., NeurIPS 2020; Lacour, Klamroth & Fonseca 2017). K=1 is one
+column and K=2 is the staircase. The cell count grows as (front + 1)^(K-1),
+so fronts needing more than MAX_CELLS cells are refused.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalError
 
-MC_SAMPLES_DEFAULT = 100_000
+#: Most cells `_partition` builds for one front before it refuses.
+MAX_CELLS = 1_000_000
 
 
 def _as_points(points) -> np.ndarray:
@@ -95,66 +101,63 @@ def pareto_front(points, ids=None) -> ParetoFront:
     return ParetoFront(np.array(out_pts), tuple(out_ids))
 
 
-def _staircase2d(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mutually nondominated 2-d points sorted by x descending (y ascending)."""
-    order = np.argsort(-pts[:, 0], kind="stable")
-    return pts[order, 0], pts[order, 1]
+def _partition(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The region a front leaves undominated, as columns [l, u) x [h, inf).
+
+    `pts` (n, K) are mutually non-dominated and strictly positive; n may be
+    0. The grid of the first K-1 coordinates (0, every point's value, inf in
+    each) is split into cells [l, u), and h is the largest last coordinate
+    of the points that weakly dominate u (0 when none does). Returns l and u
+    as (K-1, cells) and h as (cells,); K=1 gives one column. A cell reaching
+    inf has h = 0. Refuses, with NumericalError, a front needing more than
+    MAX_CELLS cells, about (n+1)^(K-1).
+    """
+    n, K = pts.shape
+    grids = [np.concatenate([[0.0], np.unique(pts[:, k]), [np.inf]]) for k in range(K - 1)]
+    shape = tuple(len(g) - 1 for g in grids)
+    cells = math.prod(shape)
+    if cells > MAX_CELLS:
+        raise NumericalError(
+            f"hypervolume: a {n}-point front in {K} objectives needs {cells} cells "
+            f"(limit {MAX_CELLS})"
+        )
+    # Each point lifts the cell whose upper corner is its own grid index;
+    # suffix maxima along every axis then give each cell the largest lift
+    # among the points that reach it.
+    flat = np.zeros(n, dtype=np.intp)
+    for k, g in enumerate(grids):
+        flat = flat * (len(g) - 1) + np.searchsorted(g, pts[:, k]) - 1
+    H = np.zeros(cells)
+    np.maximum.at(H, flat, pts[:, K - 1])
+    H = H.reshape(shape)
+    for ax in range(K - 1):
+        H = np.flip(np.maximum.accumulate(np.flip(H, ax), axis=ax), ax)
+    ix = np.indices(shape).reshape(K - 1, cells)
+    L = np.array([g[i] for g, i in zip(grids, ix)]).reshape(K - 1, cells)
+    U = np.array([g[i + 1] for g, i in zip(grids, ix)]).reshape(K - 1, cells)
+    return L, U, H.ravel()
 
 
-def _hv2(pts: np.ndarray) -> float:
-    if len(pts) == 0:
-        return 0.0
-    sx, sy = _staircase2d(pts)
-    widths = sx - np.append(sx[1:], 0.0)
-    return float(np.dot(widths, sy))
+def _hvi(C: np.ndarray, L: np.ndarray, U: np.ndarray, H: np.ndarray) -> np.ndarray:
+    """Hypervolume gain of candidates C (..., K) over partitions from
+    `_partition`: sum over the cells of max(0, c_K - h) times
+    prod_k max(0, min(c_k, u_k) - l_k). Leading axes of C broadcast against
+    those of H (..., cells) and of L[k], U[k] (K-1, ..., cells). Padding
+    cells with l = u = 0 and h = inf add nothing."""
+    gain = np.maximum(C[..., -1:] - H, 0.0)
+    for k in range(len(L)):
+        gain *= np.maximum(np.minimum(C[..., k : k + 1], U[k]) - L[k], 0.0)
+    return gain.sum(axis=-1)
 
 
-def _hv3(pts: np.ndarray) -> float:
-    # Slice along z: between consecutive z levels the attained 2-d region is
-    # the front of every point at or above the slab.
-    if len(pts) == 0:
-        return 0.0
-    order = np.argsort(-pts[:, 2], kind="stable")
-    pts = pts[order]
-    z = np.append(pts[:, 2], 0.0)
-    hv = 0.0
-    for i in range(len(pts)):
-        depth = z[i] - z[i + 1]
-        if depth <= 0.0:
-            continue
-        prefix = pareto_front(pts[: i + 1, :2]).points
-        hv += depth * _hv2(prefix)
-    return float(hv)
-
-
-def hypervolume_mc(points, ref=None, n_samples: int = MC_SAMPLES_DEFAULT, seed: int = 0) -> tuple[float, float]:
-    """Monte-Carlo hypervolume estimate and its standard error."""
-    pts = _as_points(points)
-    if len(pts) == 0:
-        return 0.0, 0.0
-    if ref is not None:
-        pts = pts - np.asarray(ref, dtype=float)
-    hi = pts.max(axis=0)
-    box = float(np.prod(hi))
-    if box <= 0.0:
-        return 0.0, 0.0
-    rng = np.random.default_rng(seed)
-    samples = rng.uniform(size=(n_samples, pts.shape[1])) * hi
-    covered = np.zeros(n_samples, dtype=bool)
-    for p in pts:
-        covered |= np.all(samples <= p, axis=1)
-    p_hat = covered.mean()
-    stderr = box * float(np.sqrt(p_hat * (1.0 - p_hat) / n_samples))
-    return box * float(p_hat), stderr
-
-
-def hypervolume(front, ref=None, *, mc_samples: int = MC_SAMPLES_DEFAULT, mc_seed: int = 0) -> float:
+def hypervolume(front, ref=None) -> float:
     """Dominated volume between `ref` (default zero) and the given points.
 
-    Exact for K <= 3; seeded Monte Carlo with `mc_samples` draws for K >= 4.
-    Points are screened first: any input point not strictly dominating the
-    reference is an error here (fronts built by pareto_front never contain
-    one).
+    Exact for every K: the sum over the finite cells of `_partition` of
+    their width times h. Points are screened first: any input point not
+    strictly dominating the reference is an error here (fronts built by
+    pareto_front never contain one), and so is a front needing more than
+    MAX_CELLS cells.
     """
     if isinstance(front, ParetoFront):
         pts = front.points
@@ -168,34 +171,9 @@ def hypervolume(front, ref=None, *, mc_samples: int = MC_SAMPLES_DEFAULT, mc_see
         raise NumericalError("hypervolume: non-finite point")
     if np.any(pts <= 0.0):
         raise NumericalError("hypervolume: point does not strictly dominate the reference")
-    pts = pareto_front(pts).points
-    k = pts.shape[1]
-    if k == 1:
-        return float(pts.max())
-    if k == 2:
-        return _hv2(pts)
-    if k == 3:
-        return _hv3(pts)
-    est, _ = hypervolume_mc(pts, None, mc_samples, mc_seed)
-    return est
-
-
-def hv_method(k: int) -> str:
-    """'exact' or 'mc', matching what hypervolume() will do for K objectives."""
-    return "exact" if k <= 3 else "mc"
-
-
-def _hvi2(sx: np.ndarray, sy: np.ndarray, a: float, b: float) -> float:
-    """2-d hypervolume gain of candidate (a, b) over a staircase (x desc)."""
-    if a <= 0.0 or b <= 0.0:
-        return 0.0
-    if len(sx) == 0:
-        return a * b
-    gain = max(0.0, a - sx[0]) * b
-    nxt = np.append(sx[1:], 0.0)
-    seg = np.maximum(0.0, np.minimum(a, sx) - nxt)
-    gain += float(np.dot(seg, np.maximum(0.0, b - sy)))
-    return gain
+    L, U, H = _partition(pareto_front(pts).points)
+    finite = np.all(np.isfinite(U), axis=0)
+    return float(np.prod(U[:, finite] - L[:, finite], axis=0) @ H[finite])
 
 
 def hv_improvement(front, candidate, ref=None) -> float:
@@ -213,21 +191,11 @@ def hv_improvement(front, candidate, ref=None) -> float:
         raise ValueError("candidate must be a vector")
     if ref is not None:
         r = np.asarray(ref, dtype=float)
-        pts = pts - r if len(pts) else pts
+        pts = pareto_front(pts - r).points if len(pts) else pts
         cand = cand - r
     if len(pts) and pts.shape[1] != cand.size:
         raise ValueError("candidate/front dimension mismatch")
     if not np.all(np.isfinite(cand)) or np.any(cand <= 0.0):
         return 0.0
-    if cand.size == 1:
-        best = pts.max() if len(pts) else 0.0
-        return float(max(0.0, cand[0] - best))
-    if cand.size == 2:
-        if len(pts):
-            sx, sy = _staircase2d(pts)
-        else:
-            sx = sy = np.empty(0)
-        return _hvi2(sx, sy, float(cand[0]), float(cand[1]))
-    base = hypervolume(pts) if len(pts) else 0.0
-    joined = np.vstack([pts, cand]) if len(pts) else cand.reshape(1, -1)
-    return float(max(0.0, hypervolume(pareto_front(joined)) - base))
+    pts = pts if len(pts) else np.zeros((0, cand.size))
+    return float(_hvi(cand, *_partition(pts)))

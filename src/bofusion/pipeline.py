@@ -33,7 +33,7 @@ import queue
 import subprocess
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -136,15 +136,21 @@ class _EvaluatorClient:
     def train(self, params: dict) -> TrainerResult:
         reply = self._request({"role": "trainer", "params": params})
         conv = reply.get("convergence_step")
-        return TrainerResult(
-            {str(k): float(v) for k, v in reply["objectives"].items()},
-            int(conv) if conv is not None else None,
-        )
+        try:
+            return TrainerResult(
+                {str(k): float(v) for k, v in reply["objectives"].items()},
+                int(conv) if conv is not None else None,
+            )
+        except (TypeError, ValueError) as exc:
+            raise ProtocolError(f"non-numeric value in reply: {exc}") from None
 
     def score(self, delta) -> dict[str, float]:
         payload = {"role": "scorer", "delta": [float(v) for v in np.asarray(delta, dtype=float)]}
         reply = self._request(payload)
-        return {str(k): float(v) for k, v in reply["objectives"].items()}
+        try:
+            return {str(k): float(v) for k, v in reply["objectives"].items()}
+        except (TypeError, ValueError) as exc:
+            raise ProtocolError(f"non-numeric value in reply: {exc}") from None
 
 
 class InProcessEvaluator(_EvaluatorClient):
@@ -360,14 +366,7 @@ def run_hpbo(
             mu, sig = _m.predict_batch(np.stack([space.to_unit(x) for x in X_raw]))
             return np.array([log_ei(float(m), float(s), _b) for m, s in zip(mu, sig)])
 
-        cfg = AcqConfig(
-            n_restarts=base_acq.n_restarts,
-            n_raw_candidates=base_acq.n_raw_candidates,
-            n_mc=base_acq.n_mc,
-            seed=_child_seed(rng),
-            local_steps=base_acq.local_steps,
-        )
-        evaluate(optimize_acq(acq, space, cfg))
+        evaluate(optimize_acq(acq, space, replace(base_acq, seed=_child_seed(rng))))
 
     if all(o.meta.failed for o in history):
         raise EvaluationFailedError("every trainer evaluation failed")
@@ -463,13 +462,7 @@ def run_mobo(
             fit_gp(X, Y[:, k], seed=_child_seed(rng), restarts=gp_restarts)
             for k in range(len(spec))
         ]
-        cfg = AcqConfig(
-            n_restarts=base_acq.n_restarts,
-            n_raw_candidates=base_acq.n_raw_candidates,
-            n_mc=base_acq.n_mc,
-            seed=_child_seed(rng),
-            local_steps=base_acq.local_steps,
-        )
+        cfg = replace(base_acq, seed=_child_seed(rng))
         acq = NehviAcquisition(models, X, cfg)
         evaluate(optimize_acq(acq, SimplexDomain(n), cfg))
 
@@ -856,10 +849,7 @@ def run_pipeline(config: PipelineConfig, seed: int, out_dir: str | None = None) 
                 acq_cfg=config.acq,
                 gp_restarts=config.gp_restarts,
             )
-        rows = history_rows("hpbo", hpbo_state.history, row_base)
-        for r in rows:
-            if r["stage_index"] == hpbo_state.best_index:
-                r["on_front"] = 1
+        rows = history_rows("hpbo", hpbo_state.history, row_base, frozenset({hpbo_state.best_index}))
         all_rows.extend(rows)
         row_base += len(rows)
 

@@ -32,7 +32,7 @@ def good_reply(request):
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--fault", required=True,
-                        choices=("bad-id", "refuse", "sleep", "garbage", "die"))
+                        choices=("bad-id", "refuse", "sleep", "garbage", "die", "non-numeric"))
     parser.add_argument("--at", type=int, default=1,
                         help="0-based request index the fault fires on")
     parser.add_argument("--sleep", type=float, default=30.0)
@@ -55,6 +55,15 @@ def main():
         elif faulty and args.fault == "bad-id":
             reply = good_reply(request)
             reply["id"] = (reply["id"] or 0) + 1000
+            sys.stdout.write(json.dumps(reply) + "\n")
+        elif faulty and args.fault == "non-numeric":
+            # A well-framed reply whose values are not numbers: a null
+            # objective from a scorer, a string step from a trainer.
+            reply = good_reply(request)
+            if "convergence_step" in reply:
+                reply["convergence_step"] = "abc"
+            else:
+                reply["objectives"]["loss"] = None
             sys.stdout.write(json.dumps(reply) + "\n")
         elif faulty and args.fault == "refuse":
             sys.stdout.write(json.dumps(

@@ -33,7 +33,7 @@ from bofusion.fusion import (
     fuse_uniform,
 )
 from bofusion.gp import KernelParams, build_gp, matern52
-from bofusion.pareto import hypervolume, hypervolume_mc, pareto_front
+from bofusion.pareto import hypervolume, pareto_front
 from bofusion.pipeline import (
     InProcessEvaluator,
     SubprocessEvaluator,
@@ -47,6 +47,7 @@ from bofusion.pipeline import (
 )
 
 import conftest
+from helpers.hv_oracles import hypervolume_mc
 from conftest import FAULT_EVALUATOR, PYTHON
 
 CHEAP = AcqConfig(n_restarts=2, n_raw_candidates=48, n_mc=16, local_steps=2)

@@ -21,6 +21,7 @@ from bofusion.core import BoundedParamSpace, ParamDim
 from bofusion.errors import NumericalError
 from bofusion.gp import KernelParams, build_gp, fit_gp, matern52
 from bofusion.pareto import hv_improvement, pareto_front
+from helpers.hv_oracles import hvi_sweep, inclusion_exclusion_hv
 
 
 # ---------------------------------------------------------------------------
@@ -217,21 +218,6 @@ def rowwise(f):
     return lambda X: np.array([f(x) for x in X])
 
 
-class RowByRow:
-    """A block acquisition that scores each row with the scalar f, records
-    every block, and declares that a block costs the sum of its rows."""
-
-    vectorized = False
-
-    def __init__(self, f):
-        self.f = f
-        self.blocks = []
-
-    def __call__(self, X):
-        self.blocks.append([x.tobytes() for x in X])
-        return np.array([self.f(x) for x in X])
-
-
 def seeded_function(seed, d):
     """A bumpy scalar function of a d-vector with plateaus (rounded values),
     so ties between trials and between restarts occur, and a region where it
@@ -356,22 +342,6 @@ class TestWalkMatchesSequentialReference:
         want, _ = sequential_optimize_acq(f, space, cfg)
         assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize("n", [2, 3, 5, 15])
-    def test_row_by_row_acquisition_scores_only_the_reference_candidates(self, n):
-        """Without vectorized scoring each walk sends one trial per round,
-        so the search scores exactly the reference's candidates, at most
-        one per restart in each round after the raw set."""
-        f = seeded_function(n, n)
-        cfg = AcqConfig(seed=n, n_raw_candidates=64 if n == 15 else 128)
-        acq = RowByRow(f)
-        got = optimize_acq(acq, SimplexDomain(n), cfg)
-        want, want_scored = sequential_optimize_acq(f, SimplexDomain(n), cfg)
-        assert np.array_equal(got, want)
-        rows = [key for block in acq.blocks for key in block]
-        assert len(rows) == len(want_scored) and set(rows) == want_scored
-        assert len(acq.blocks[0]) == cfg.n_raw_candidates
-        assert max(len(block) for block in acq.blocks[1:]) <= cfg.n_restarts
-
 
 # ---------------------------------------------------------------------------
 # NEHVI
@@ -424,6 +394,36 @@ class TestNehvi:
         want = hv_improvement(front, np.array([f(cand) for f in fns]))
         got = nehvi_mc(models, cand, X, cfg=AcqConfig(n_mc=8, seed=0))
         assert got == pytest.approx(want, abs=1e-9)
+
+    def test_deterministic_four_objectives(self):
+        """K=4 goes through the same partition as K <= 3; with a noise-free
+        posterior each scenario is the observed front, so NEHVI is the exact
+        gain, checked by inclusion-exclusion over box intersections."""
+        rng = np.random.default_rng(9)
+        X = _simplex_history(rng, 7, k=4)
+        fns = [lambda d, i=i: 0.2 + 0.6 * d[i] for i in range(4)]
+        models = [DetModel(f) for f in fns]
+        acq = NehviAcquisition(models, X, AcqConfig(n_mc=4, seed=0))
+        front = pareto_front(np.array([[f(x) for f in fns] for x in X])).points
+        cands = _simplex_history(rng, 5, k=4)
+        for cand, got in zip(cands, acq(cands)):
+            c = np.array([f(cand) for f in fns])
+            joined = pareto_front(np.vstack([front, c])).points
+            want = inclusion_exclusion_hv(joined) - inclusion_exclusion_hv(front)
+            assert got == pytest.approx(max(want, 0.0), rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_empty_fronts_gain_the_candidates_own_box(self, k):
+        """Every observed value is negative, so every scenario's front is
+        empty and a candidate gains the box between zero and its values."""
+        rng = np.random.default_rng(10 + k)
+        X = rng.dirichlet(np.full(4, 200.0), size=5)  # every coordinate near 0.25
+        fns = [lambda d, i=i: 2.0 * d[i] - 0.6 for i in range(k)]
+        acq = NehviAcquisition([DetModel(f) for f in fns], X, AcqConfig(n_mc=4, seed=0))
+        cand = np.array([0.34, 0.33, 0.33, 0.0])
+        want = float(np.prod([f(cand) for f in fns]))
+        assert acq(cand) == pytest.approx(want, rel=0, abs=1e-15)
+        assert acq(X[0]) == 0.0
 
     def test_duplicate_candidate_adds_nothing(self):
         rng = np.random.default_rng(2)
@@ -536,8 +536,9 @@ class SlowWrapper:
 class FromScratchNehvi(NehviAcquisition):
     """Per-candidate NEHVI oracle. Each candidate is conditioned from
     scratch (matern52 kernel rows, solve_triangular and cho_solve on every
-    call) and its value is the mean over scenarios of hv_improvement against
-    the scenario's front; only the scenario draws are shared with
+    call) and its value is the mean over scenarios of the staircase or
+    slicing sweep's gain (helpers.hv_oracles.hvi_sweep, K <= 3) against the
+    scenario's front; only the scenario draws are shared with
     NehviAcquisition."""
 
     def moments(self, cand):
@@ -570,8 +571,8 @@ class FromScratchNehvi(NehviAcquisition):
 
     def value(self, cand):
         C = self.draws(cand)
-        fronts = [pareto_front(self._samples[:, j, :]) for j in range(self.cfg.n_mc)]
-        return float(np.mean([hv_improvement(f, c) for f, c in zip(fronts, C)]))
+        fronts = [pareto_front(self._samples[:, j, :]).points for j in range(self.cfg.n_mc)]
+        return float(np.mean([hvi_sweep(f, c) for f, c in zip(fronts, C)]))
 
 
 def _fitted_state(n_obj, d=4, seed=None):
@@ -643,14 +644,6 @@ class TestNehviMatchesFromScratchFormula:
 
 
 class TestNehviSearchCost:
-    @pytest.mark.parametrize("n_obj, wrap, want", [
-        (1, None, True), (2, None, True), (3, None, False), (2, SlowWrapper, False),
-    ])
-    def test_vectorized_only_when_a_block_is_one_step(self, n_obj, wrap, want):
-        models, X, _ = _fitted_state(n_obj)
-        models = [wrap(m) for m in models] if wrap else models
-        assert NehviAcquisition(models, X, AcqConfig(n_mc=8)).vectorized is want
-
     def test_block_calls_on_a_seeded_state(self):
         """Pins the cost of one stage-2-sized search: one block for the raw
         set, then one per lockstep round, each distinct candidate once."""

@@ -109,9 +109,7 @@ class TestHv:
         pts.write_text("0.2,0.8\n0.5,0.5\n0.8,0.2\n0.1,0.1\n")
         assert entrypoint(["hv", "--seed", "0", "--points", str(pts)]) == 0
         out = capsys.readouterr().out
-        assert "hypervolume=0.37" in out
-        assert "backend=exact" in out
-        assert "front_size=3" in out
+        assert out.strip() == "hypervolume=0.37 front_size=3"
 
     def test_worked_front_json(self, tmp_path, capsys):
         pts = tmp_path / "points.json"
@@ -120,15 +118,26 @@ class TestHv:
         assert "hypervolume=0.37" in capsys.readouterr().out
 
     def test_mc_backend_for_many_objectives(self, tmp_path, capsys):
+        """K=4 takes the same exact path as K <= 3, and the Monte-Carlo
+        sample count is no longer an option."""
         pts = tmp_path / "points.csv"
         pts.write_text("0.5,0.5,0.5,0.5\n")
-        assert entrypoint(["hv", "--seed", "0", "--points", str(pts),
-                           "--mc-samples", "20000"]) == 0
+        assert entrypoint(["hv", "--seed", "0", "--points", str(pts)]) == 0
         out = capsys.readouterr().out
-        assert "backend=mc" in out
-        # single box: true volume 0.0625; MC at 20k samples is well inside 20%
         value = float(out.split("hypervolume=")[1].split()[0])
-        assert value == pytest.approx(0.0625, rel=0.2)
+        assert value == 0.0625
+        assert entrypoint(["hv", "--seed", "0", "--points", str(pts),
+                           "--mc-samples", "20000"]) == 1
+
+    def test_front_with_too_many_cells_is_a_numerical_failure(self, tmp_path, capsys):
+        # 12 points on the unit sphere in 7 objectives need 13**6 cells.
+        rng = np.random.default_rng(3)
+        pts = rng.uniform(0.05, 1.0, size=(12, 7))
+        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+        path = tmp_path / "points.json"
+        path.write_text(json.dumps(pts.tolist()))
+        assert entrypoint(["hv", "--seed", "0", "--points", str(path)]) == 3
+        assert "cells" in capsys.readouterr().err
 
     def test_missing_points_file(self, tmp_path):
         assert entrypoint(["hv", "--seed", "0", "--points", str(tmp_path / "no.csv")]) == 1

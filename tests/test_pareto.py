@@ -1,19 +1,17 @@
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from bofusion.errors import NumericalError
 from bofusion.pareto import (
+    MAX_CELLS,
     ParetoFront,
     dominates,
     hv_improvement,
-    hv_method,
     hypervolume,
-    hypervolume_mc,
     pareto_front,
 )
+from helpers.hv_oracles import hypervolume_mc, inclusion_exclusion_hv
 
 
 # ---------------------------------------------------------------------------
@@ -49,18 +47,11 @@ def grid_hv_2d(points, resolution=2000):
     return covered.sum() * cell
 
 
-def inclusion_exclusion_hv(points):
-    """Exact hypervolume by inclusion–exclusion over box intersections.
-
-    Exponential in |points|; used only on small fronts.
-    """
-    pts = np.asarray(points, dtype=float)
-    total = 0.0
-    for r in range(1, len(pts) + 1):
-        for combo in itertools.combinations(range(len(pts)), r):
-            inter = pts[list(combo)].min(axis=0)
-            total += (-1) ** (r + 1) * float(np.prod(inter))
-    return total
+def simplex_front(rng, n, k):
+    """n mutually non-dominated points: random directions scaled onto the
+    positive part of the unit sphere."""
+    pts = rng.uniform(0.05, 1.0, size=(n, k))
+    return pts / np.linalg.norm(pts, axis=1, keepdims=True)
 
 
 # ---------------------------------------------------------------------------
@@ -193,20 +184,30 @@ class TestHypervolume:
         pts = rng.uniform(0.1, 1.0, size=(6, 4))
         f = pareto_front(pts)
         exact = inclusion_exclusion_hv(f.points)
-        est = hypervolume(f, mc_samples=200_000, mc_seed=0)
-        _, se = hypervolume_mc(f.points, np.zeros(4), n_samples=200_000, seed=0)
+        assert hypervolume(f) == pytest.approx(exact, rel=0, abs=1e-12)
+        est, se = hypervolume_mc(f.points, np.zeros(4), n_samples=200_000, seed=0)
         assert abs(est - exact) <= 3.0 * se + 1e-9
 
-    def test_mc_estimator_seeded(self):
-        pts = np.array([[0.5, 0.5, 0.5, 0.5]])
-        a = hypervolume_mc(pts, np.zeros(4), n_samples=1000, seed=3)
-        b = hypervolume_mc(pts, np.zeros(4), n_samples=1000, seed=3)
-        assert a == b
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_seeded_fronts_match_inclusion_exclusion(self, k):
+        rng = np.random.default_rng(10 + k)
+        for i in range(25):
+            n = int(rng.integers(1, 9))
+            pts = simplex_front(rng, n, k) if i % 2 else rng.uniform(0.05, 1.0, size=(n, k))
+            f = pareto_front(pts)
+            assert hypervolume(f) == pytest.approx(inclusion_exclusion_hv(f.points), rel=0, abs=1e-12)
 
-    def test_hv_method_labels(self):
-        assert hv_method(2) == "exact"
-        assert hv_method(3) == "exact"
-        assert hv_method(4) == "mc"
+    def test_refuses_a_front_with_too_many_cells(self):
+        # 12 points in 7 objectives need 13**6 = 4.8M cells.
+        f = pareto_front(simplex_front(np.random.default_rng(3), 12, 7))
+        assert len(f) == 12 and 13**6 > MAX_CELLS
+        with pytest.raises(NumericalError, match="cells"):
+            hypervolume(f)
+        with pytest.raises(NumericalError, match="cells"):
+            hv_improvement(f, np.full(7, 0.5))
+        # The same count of points in 4 objectives is well inside the limit.
+        small = pareto_front(simplex_front(np.random.default_rng(3), 12, 4))
+        assert hypervolume(small) == pytest.approx(inclusion_exclusion_hv(small.points), abs=1e-12)
 
     @given(st.lists(
         st.tuples(st.floats(0.05, 1.0), st.floats(0.05, 1.0)),
@@ -270,3 +271,32 @@ class TestHvImprovement:
     def test_candidate_off_positive_orthant_is_zero(self):
         f = pareto_front(np.array([[0.5, 0.5]]))
         assert hv_improvement(f, np.array([-0.1, 0.9])) == 0.0
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_seeded_gains_match_inclusion_exclusion(self, k):
+        rng = np.random.default_rng(20 + k)
+        for _ in range(25):
+            f = pareto_front(simplex_front(rng, int(rng.integers(1, 8)), k))
+            cand = rng.uniform(0.05, 1.0, size=k)
+            joined = pareto_front(np.vstack([f.points, cand[None]])).points
+            want = inclusion_exclusion_hv(joined) - inclusion_exclusion_hv(f.points)
+            assert hv_improvement(f, cand) == pytest.approx(max(want, 0.0), rel=0, abs=1e-12)
+
+    @given(st.integers(2, 4).flatmap(lambda k: st.tuples(
+        st.lists(st.lists(st.floats(0.05, 1.0), min_size=k, max_size=k), min_size=1, max_size=7),
+        st.lists(st.floats(0.05, 1.0), min_size=k, max_size=k),
+    )))
+    def test_gain_and_volume_match_inclusion_exclusion(self, case):
+        pts, cand = np.array(case[0]), np.array(case[1])
+        f = pareto_front(pts)
+        base = inclusion_exclusion_hv(f.points)
+        assert hypervolume(f) == pytest.approx(base, rel=0, abs=1e-12)
+        joined = pareto_front(np.vstack([f.points, cand[None]])).points
+        want = max(inclusion_exclusion_hv(joined) - base, 0.0)
+        assert hv_improvement(f, cand) == pytest.approx(want, rel=0, abs=1e-12)
+
+    def test_dominated_candidate_gains_exactly_zero_in_4d(self):
+        f = pareto_front(simplex_front(np.random.default_rng(4), 6, 4))
+        for p in f.points:
+            assert hv_improvement(f, 0.9 * p) == 0.0
+            assert hv_improvement(f, p) == 0.0

@@ -455,6 +455,42 @@ class TestSubprocessProtocol:
         assert state.history[2].meta.failed
         assert sum(o.meta.failed for o in state.history) == 1
 
+    def test_non_numeric_reply_is_a_protocol_error(self):
+        client = fault_client("non-numeric", at=0)
+        try:
+            with pytest.raises(ProtocolError, match="non-numeric"):
+                client.score([1.0])
+            assert client.score([1.0])["metric"] == pytest.approx(0.5)
+        finally:
+            client.close()
+        client = fault_client("non-numeric", at=0)
+        try:
+            with pytest.raises(ProtocolError, match="non-numeric"):
+                client.train({"lr": 0.1})
+            assert client.train({"lr": 0.1}).convergence_step == 10
+        finally:
+            client.close()
+
+    def test_mobo_records_a_non_numeric_objective_as_failed(self):
+        client = fault_client("non-numeric", at=2)
+        try:
+            _, state = run_mobo(2, client, LOSS_METRIC_SPEC, n_iter=2, seed=0,
+                                best_member_id=0, acq_cfg=CHEAP, gp_restarts=2)
+        finally:
+            client.close()
+        assert len(state.history) == 5
+        assert [o.meta.failed for o in state.history] == [False, False, True, False, False]
+
+    def test_hpbo_records_a_non_numeric_step_as_failed(self):
+        client = fault_client("non-numeric", at=1)
+        space = BoundedParamSpace((ParamDim("lr", 0.0, 1.0),))
+        try:
+            _, state = run_hpbo(space, client, LOSS_METRIC_SPEC, n_iter=1, seed=0,
+                                acq_cfg=CHEAP, gp_restarts=2)
+        finally:
+            client.close()
+        assert [o.meta.failed for o in state.history] == [False, True, False, False]
+
 
 class TestToybenchSubprocess:
     def test_matches_in_process_toy_evaluator(self):
