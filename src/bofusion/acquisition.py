@@ -10,7 +10,8 @@ hypervolume gain against it. Scenarios share one per-iteration seed so
 candidates are compared under common random numbers. Each scenario's front
 is partitioned into cells once per iteration (``pareto._partition``), so the
 gain of every candidate in every scenario, for any number of objectives, is
-one ``pareto._hvi`` call over padded (n_mc, cells, ...) arrays.
+one ``pareto._hvi`` call over padded (n_mc, cells, ...) arrays, whose size
+``check_nehvi_size`` bounds before anything is drawn.
 
 Acquisitions score blocks: an acquisition handed to ``optimize_acq`` maps an
 ``(m, d)`` array of candidates to ``m`` values, and ``NehviAcquisition``
@@ -43,6 +44,9 @@ LOG_EI_FLOOR = -1e12
 #: _CHUNK_CELLS entries.
 _CHUNK_ROWS = 32
 _CHUNK_CELLS = 1 << 21
+
+#: Most floats NehviAcquisition's padded partitions may need (check_nehvi_size).
+MAX_PARTITION_FLOATS = 1 << 24
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
@@ -119,6 +123,21 @@ def _observed_matrix(observed) -> np.ndarray:
     return np.atleast_2d(np.stack(rows))
 
 
+def check_nehvi_size(n_obs: int, n_objectives: int, n_mc: int) -> None:
+    """Refuse, with NumericalError, a NEHVI state whose padded partitions
+    may exceed MAX_PARTITION_FLOATS: n_mc scenarios of up to
+    ``pareto._max_cells(n_obs, K)`` cells of 2K - 1 floats, whatever the
+    samples, so a loop can check its largest history before it starts."""
+    K = n_objectives
+    cells = _pareto._max_cells(n_obs, K)
+    floats = n_mc * cells * (2 * K - 1)
+    if floats > MAX_PARTITION_FLOATS or cells > _pareto.MAX_CELLS:
+        raise NumericalError(
+            f"NEHVI over {n_obs} points in {K} objectives with {n_mc} scenarios "
+            f"may need {floats} partition floats (limit {MAX_PARTITION_FLOATS})"
+        )
+
+
 class NehviAcquisition:
     """Callable MC noisy-EHVI for a fixed iteration state.
 
@@ -141,6 +160,7 @@ class NehviAcquisition:
         X = _observed_matrix(observed_x)
         if len(X) == 0:
             raise ValueError("need at least one observed point")
+        check_nehvi_size(len(X), len(self.models), cfg.n_mc)
         # Canonical ordering makes the estimate invariant to history permutation.
         order = np.lexsort(X.T[::-1])
         self.X = X[order]
@@ -172,14 +192,17 @@ class NehviAcquisition:
         self.obs_jitter = tuple(obs_jitter)
 
         # Every scenario's partition, padded to the widest with cells that
-        # add nothing (l = u = 0, h = inf). An empty front has shape (0, 0).
+        # add nothing (l = u = 0, h = inf); each is dropped once copied. A
+        # ParetoFront stores an empty front as shape (0, 0), whatever K.
         fronts = [_pareto.pareto_front(samples[:, j, :]).points for j in range(n_mc)]
         parts = [_pareto._partition(f if len(f) else np.zeros((0, K))) for f in fronts]
         width = max(len(H) for _, _, H in parts)
         self._L = np.zeros((K - 1, n_mc, width))
         self._U = np.zeros((K - 1, n_mc, width))
         self._H = np.full((n_mc, width), np.inf)
-        for j, (L, U, H) in enumerate(parts):
+        for j in range(n_mc):
+            L, U, H = parts[j]
+            parts[j] = None
             self._L[:, j, : len(H)], self._U[:, j, : len(H)], self._H[j, : len(H)] = L, U, H
         self._chunk = max(1, min(_CHUNK_ROWS, _CHUNK_CELLS // (n_mc * width)))
 

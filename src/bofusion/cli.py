@@ -181,6 +181,7 @@ def _cmd_mobo(args) -> int:
     config = pl.load_config(args.config)
     members = load_member_set(args.members)
     n = len(members)
+    pl.check_stage2_size(n, config.mobo_iters_per_member * n, len(config.objectives), config.acq)
     scorer = _scorer_for_members(config.scorer, members)
     try:
         spec, standalone, best_member_id = pl.derive_windows(scorer, config.objectives, n, args.seed)

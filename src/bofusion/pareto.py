@@ -5,19 +5,21 @@ point is the zero vector throughout. Hypervolume and hypervolume improvement
 are exact for every K and share one partition of the region a front leaves
 undominated into axis-aligned columns (the cell decomposition behind qEHVI:
 Daulton et al., NeurIPS 2020; Lacour, Klamroth & Fonseca 2017). K=1 is one
-column and K=2 is the staircase. The cell count grows as (front + 1)^(K-1),
-so fronts needing more than MAX_CELLS cells are refused.
+column and K=2 is the staircase; above that, columns that adjacent slabs of
+the first coordinate repeat are joined, so a K=3 front of n points has at
+most 2n + 1 columns and a K=4 front at most (n + 1)^2. Fronts whose bound
+(`_max_cells`) exceeds MAX_CELLS are refused before anything is built.
 """
 from __future__ import annotations
 
-import math
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalError
 
-#: Most cells `_partition` builds for one front before it refuses.
+#: Most columns `_partition` may need for one front before it refuses.
 MAX_CELLS = 1_000_000
 
 
@@ -101,41 +103,86 @@ def pareto_front(points, ids=None) -> ParetoFront:
     return ParetoFront(np.array(out_pts), tuple(out_ids))
 
 
-def _partition(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The region a front leaves undominated, as columns [l, u) x [h, inf).
+def _max_cells(n: int, K: int) -> int:
+    """Most columns `_partition` can return for n points in K objectives.
 
-    `pts` (n, K) are mutually non-dominated and strictly positive; n may be
-    0. The grid of the first K-1 coordinates (0, every point's value, inf in
-    each) is split into cells [l, u), and h is the largest last coordinate
-    of the points that weakly dominate u (0 when none does). Returns l and u
-    as (K-1, cells) and h as (cells,); K=1 gives one column. A cell reaching
-    inf has h = 0. Refuses, with NumericalError, a front needing more than
-    MAX_CELLS cells, about (n+1)^(K-1).
+    K=2 has n + 1. Going down the first coordinate's slabs, each adds a
+    point and only columns its upper neighbour lacks are new: at K=3 the two
+    beside the point in the staircase (2n + 1 in all), above that at most
+    the slab's whole partition, B_K(n) = 1 + sum_{m<=n} B_{K-1}(m).
+    """
+    if K <= 2:
+        return n + 1 if K == 2 else 1
+    bound = [2 * m + 1 for m in range(n + 1)]
+    for _ in range(K - 3):
+        bound = list(itertools.accumulate(bound[1:], initial=1))
+    return bound[n]
+
+
+def _partition(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The region a set of points leaves undominated, as columns
+    [l, u) x [h, inf).
+
+    `pts` (n, K) are strictly positive; n may be 0. The columns split the
+    first K-1 coordinates into boxes [l, u) on which h, the largest last
+    coordinate among the points that weakly dominate u (0 when none does),
+    is constant. Returns l and u as (K-1, cells) and h as (cells,); K=1
+    gives one column, K=2 the staircase. A column reaching inf has h = 0.
+    The slab of the first coordinate below u sees only the points with
+    p_0 >= u, so its columns are the (K-1)-objective partition of their
+    other coordinates; a column that adjacent slabs repeat becomes one.
+    Refuses, with NumericalError, points that may need more than MAX_CELLS
+    columns (`_max_cells`).
     """
     n, K = pts.shape
-    grids = [np.concatenate([[0.0], np.unique(pts[:, k]), [np.inf]]) for k in range(K - 1)]
-    shape = tuple(len(g) - 1 for g in grids)
-    cells = math.prod(shape)
+    cells = _max_cells(n, K)
     if cells > MAX_CELLS:
         raise NumericalError(
-            f"hypervolume: a {n}-point front in {K} objectives needs {cells} cells "
+            f"hypervolume: a {n}-point front in {K} objectives may need {cells} cells "
             f"(limit {MAX_CELLS})"
         )
-    # Each point lifts the cell whose upper corner is its own grid index;
-    # suffix maxima along every axis then give each cell the largest lift
-    # among the points that reach it.
-    flat = np.zeros(n, dtype=np.intp)
-    for k, g in enumerate(grids):
-        flat = flat * (len(g) - 1) + np.searchsorted(g, pts[:, k]) - 1
-    H = np.zeros(cells)
-    np.maximum.at(H, flat, pts[:, K - 1])
-    H = H.reshape(shape)
-    for ax in range(K - 1):
-        H = np.flip(np.maximum.accumulate(np.flip(H, ax), axis=ax), ax)
-    ix = np.indices(shape).reshape(K - 1, cells)
-    L = np.array([g[i] for g, i in zip(grids, ix)]).reshape(K - 1, cells)
-    U = np.array([g[i + 1] for g, i in zip(grids, ix)]).reshape(K - 1, cells)
-    return L, U, H.ravel()
+    return _columns(pts)
+
+
+def _columns(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`_partition` without the size check."""
+    n, K = pts.shape
+    if K == 1:
+        return np.zeros((0, 1)), np.zeros((0, 1)), np.array([pts.max(initial=0.0)])
+    grids = [np.concatenate([[0.0], np.unique(pts[:, k]), [np.inf]]) for k in range(min(K - 1, 2))]
+    if K <= 3:
+        # Each point lifts the grid cell whose upper corner is its own
+        # value; suffix maxima along every axis then give each cell the
+        # largest lift among the points that reach it. On a front of two
+        # objectives every cell's h differs from its neighbours'; at three,
+        # a run of equal h along the last axis is one column.
+        H = np.zeros(tuple(len(g) - 1 for g in grids))
+        np.maximum.at(H, tuple(np.searchsorted(g, pts[:, k]) - 1 for k, g in enumerate(grids)), pts[:, -1])
+        for ax in range(K - 1):
+            H = np.flip(np.maximum.accumulate(np.flip(H, ax), axis=ax), ax)
+        if K == 2:
+            return grids[0][None, :-1], grids[0][None, 1:], H
+        first = np.ones(H.shape, dtype=bool)
+        first[:, 1:] = H[:, 1:] != H[:, :-1]
+        last = np.ones(H.shape, dtype=bool)
+        last[:, :-1] = first[:, 1:]
+        slab, j0 = np.nonzero(first)
+        g = grids[1]
+        cols = np.column_stack([g[j0], g[np.nonzero(last)[1] + 1], H[first]])
+    else:
+        parts = [_columns(pts[pts[:, 0] >= u, 1:]) for u in grids[0][1:]]
+        cols = np.concatenate([np.vstack([L, U, H]).T for L, U, H in parts])
+        slab = np.repeat(np.arange(len(parts)), [len(H) for _, _, H in parts])
+    # Slab i of the first coordinate sees only the points with
+    # p_0 >= grids[0][i + 1]; a column that adjacent slabs repeat is joined.
+    order = np.lexsort((slab, *cols.T[::-1]))
+    cols, slab = cols[order], slab[order]
+    first = np.r_[True, np.any(cols[1:] != cols[:-1], axis=1) | (slab[1:] != slab[:-1] + 1)]
+    last = np.r_[first[1:], True]
+    cols = cols[first]
+    L = np.vstack([grids[0][slab[first]], cols[:, : K - 2].T])
+    U = np.vstack([grids[0][slab[last] + 1], cols[:, K - 2 : 2 * K - 4].T])
+    return L, U, cols[:, -1]
 
 
 def _hvi(C: np.ndarray, L: np.ndarray, U: np.ndarray, H: np.ndarray) -> np.ndarray:

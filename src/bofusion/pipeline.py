@@ -38,7 +38,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .acquisition import AcqConfig, NehviAcquisition, SimplexDomain, log_ei, optimize_acq
+from .acquisition import (
+    AcqConfig, NehviAcquisition, SimplexDomain, check_nehvi_size, log_ei, optimize_acq,
+)
 from .core import (
     BoundedParamSpace,
     EvalMeta,
@@ -420,6 +422,14 @@ def _initial_deltas(n: int, count: int, best_member_id, rng) -> list[np.ndarray]
     return deltas[:count]
 
 
+def check_stage2_size(n_members: int, n_iter: int, n_objectives: int, acq_cfg: AcqConfig) -> None:
+    """Refuse, with NumericalError and before any evaluation, a stage-2 run
+    whose NEHVI could outgrow its memory bound: the last of n_iter
+    acquisitions sees n_members + n_iter observed points."""
+    if n_iter > 0:
+        check_nehvi_size(n_members + n_iter, n_objectives, acq_cfg.n_mc)
+
+
 def run_mobo(
     members: MemberSet | int,
     scorer: _EvaluatorClient,
@@ -446,6 +456,7 @@ def run_mobo(
     if n_iter < 0:
         raise ValueError("n_iter must be >= 0")
     base_acq = acq_cfg or AcqConfig()
+    check_stage2_size(n, n_iter, len(spec), base_acq)
     rng = np.random.default_rng(seed)
     history: list[Observation] = []
 
@@ -831,6 +842,8 @@ def run_pipeline(config: PipelineConfig, seed: int, out_dir: str | None = None) 
     Returns the report dict; when out_dir is given, writes report.json and
     history.csv there atomically.
     """
+    n_iter = config.mobo_iters_per_member * config.n_members
+    check_stage2_size(config.n_members, n_iter, len(config.objectives), config.acq)
     rng = np.random.default_rng(seed)
     trainer, scorer, proxy, clients = _build_clients(config)
     all_rows: list[dict] = []
@@ -872,7 +885,7 @@ def run_pipeline(config: PipelineConfig, seed: int, out_dir: str | None = None) 
                 config.n_members,
                 scorer,
                 mobo_spec,
-                n_iter=config.mobo_iters_per_member * config.n_members,
+                n_iter=n_iter,
                 seed=_child_seed(rng),
                 best_member_id=best_member_id,
                 acq_cfg=config.acq,

@@ -10,9 +10,11 @@ from scipy.special import ndtr
 from bofusion.acquisition import (
     AcqConfig,
     LOG_EI_FLOOR,
+    MAX_PARTITION_FLOATS,
     NehviAcquisition,
     SimplexDomain,
     _project_simplex,
+    check_nehvi_size,
     log_ei,
     nehvi_mc,
     optimize_acq,
@@ -20,7 +22,7 @@ from bofusion.acquisition import (
 from bofusion.core import BoundedParamSpace, ParamDim
 from bofusion.errors import NumericalError
 from bofusion.gp import KernelParams, build_gp, fit_gp, matern52
-from bofusion.pareto import hv_improvement, pareto_front
+from bofusion.pareto import _max_cells, hv_improvement, pareto_front
 from helpers.hv_oracles import hvi_sweep, inclusion_exclusion_hv
 
 
@@ -521,6 +523,60 @@ class TestNehvi:
         fast = nehvi_mc([model, model], cand, X, cfg=cfg)
         slow = nehvi_mc([SlowWrapper(model), SlowWrapper(model)], cand, X, cfg=cfg)
         assert fast == pytest.approx(slow, rel=1e-8, abs=1e-12)
+
+
+class SphereModel:
+    """Objective i's mean is sqrt(d_i), so the means of simplex points lie on
+    the unit sphere and are mutually non-dominated; independent posterior
+    noise of standard deviation 0.02 at every point."""
+
+    def __init__(self, i):
+        self.i = i
+
+    def posterior_joint(self, Xq):
+        Xq = np.atleast_2d(Xq)
+        return np.sqrt(Xq[:, self.i]), 4e-4 * np.eye(len(Xq))
+
+
+class TestNehviSize:
+    def test_stage2_sized_four_objective_state(self):
+        """90 observed points in 4 objectives, the last acquisition of a
+        default 15-member stage 2, with scenario fronts of most of them.
+        The state is admitted, its padded partitions stay inside the bound
+        it was admitted on, and each value is the scenario mean of the gain
+        over that scenario's own front."""
+        K, n_mc = 4, 16
+        rng = np.random.default_rng(14)
+        X = _simplex_history(rng, 90, k=K)
+        acq = NehviAcquisition([SphereModel(i) for i in range(K)], X, AcqConfig(n_mc=n_mc, seed=2))
+        fronts = [pareto_front(acq._samples[:, j, :]).points for j in range(n_mc)]
+        assert min(len(f) for f in fronts) >= 60
+        width = acq._H.shape[1]
+        assert width <= _max_cells(90, K)
+        assert acq._L.shape == acq._U.shape == (K - 1, n_mc, width)
+        assert (2 * K - 1) * n_mc * _max_cells(90, K) <= MAX_PARTITION_FLOATS
+        cands = _simplex_history(rng, 6, k=K)
+        draws = acq._candidate_samples(cands)
+        for got, C in zip(acq(cands), draws):
+            want = np.mean([hv_improvement(f, c) for f, c in zip(fronts, C)])
+            assert got == pytest.approx(want, rel=0, abs=1e-12)
+
+    def test_refuses_before_building(self):
+        # 64 scenarios of 90 points: admitted at 4 objectives, refused at 5.
+        check_nehvi_size(90, 4, 64)
+        with pytest.raises(NumericalError, match="partition floats"):
+            check_nehvi_size(90, 5, 64)
+        X = _simplex_history(np.random.default_rng(3), 90, k=5)
+        calls = []
+
+        class Spy(SphereModel):
+            def posterior_joint(self, Xq):
+                calls.append(len(Xq))
+                return super().posterior_joint(Xq)
+
+        with pytest.raises(NumericalError, match="partition floats"):
+            NehviAcquisition([Spy(i) for i in range(5)], X, AcqConfig(n_mc=64))
+        assert calls == []
 
 
 class SlowWrapper:

@@ -130,9 +130,9 @@ class TestHv:
                            "--mc-samples", "20000"]) == 1
 
     def test_front_with_too_many_cells_is_a_numerical_failure(self, tmp_path, capsys):
-        # 12 points on the unit sphere in 7 objectives need 13**6 cells.
+        # 20 points on the unit sphere in 9 objectives may need 1.5M cells.
         rng = np.random.default_rng(3)
-        pts = rng.uniform(0.05, 1.0, size=(12, 7))
+        pts = rng.uniform(0.05, 1.0, size=(20, 9))
         pts /= np.linalg.norm(pts, axis=1, keepdims=True)
         path = tmp_path / "points.json"
         path.write_text(json.dumps(pts.tolist()))

@@ -6,6 +6,8 @@ from bofusion.errors import NumericalError
 from bofusion.pareto import (
     MAX_CELLS,
     ParetoFront,
+    _max_cells,
+    _partition,
     dominates,
     hv_improvement,
     hypervolume,
@@ -198,16 +200,50 @@ class TestHypervolume:
             assert hypervolume(f) == pytest.approx(inclusion_exclusion_hv(f.points), rel=0, abs=1e-12)
 
     def test_refuses_a_front_with_too_many_cells(self):
-        # 12 points in 7 objectives need 13**6 = 4.8M cells.
-        f = pareto_front(simplex_front(np.random.default_rng(3), 12, 7))
-        assert len(f) == 12 and 13**6 > MAX_CELLS
+        # 20 points in 9 objectives may need 1.5M cells.
+        f = pareto_front(simplex_front(np.random.default_rng(3), 20, 9))
+        assert len(f) == 20 and _max_cells(20, 9) > MAX_CELLS
         with pytest.raises(NumericalError, match="cells"):
             hypervolume(f)
         with pytest.raises(NumericalError, match="cells"):
-            hv_improvement(f, np.full(7, 0.5))
+            hv_improvement(f, np.full(9, 0.5))
         # The same count of points in 4 objectives is well inside the limit.
         small = pareto_front(simplex_front(np.random.default_rng(3), 12, 4))
         assert hypervolume(small) == pytest.approx(inclusion_exclusion_hv(small.points), abs=1e-12)
+
+    @given(st.integers(2, 5).flatmap(lambda k: st.lists(
+        st.lists(st.integers(1, 4).map(lambda v: v / 4.0), min_size=k, max_size=k),
+        min_size=0, max_size=9,
+    ).map(lambda rows: np.array(rows, dtype=float).reshape(-1, k))))
+    def test_partition_stays_within_its_cell_bound(self, pts):
+        # Coarse values make ties and dominated points common; the bound
+        # counts every input point, so unfiltered input is held to it too.
+        n, k = pts.shape
+        for p in (pts, pareto_front(pts).points.reshape(-1, k)):
+            L, U, H = _partition(p)
+            assert L.shape == U.shape == (k - 1, len(H))
+            assert 1 <= len(H) <= _max_cells(len(p), k)
+            assert np.all(L < U)
+
+    def test_cell_bound_is_reached_at_three_objectives(self):
+        # On a sphere every added point makes both columns beside it.
+        for n in (1, 5, 30):
+            f = pareto_front(simplex_front(np.random.default_rng(n), n, 3)).points
+            assert len(_partition(f)[2]) == _max_cells(len(f), 3) == 2 * len(f) + 1
+
+    def test_stage2_sized_four_objective_front(self):
+        # 90 points, the history of a default 15-member stage 2: a few
+        # hundred columns instead of the 91**3 cells of the full grid, and
+        # the volume is within Monte-Carlo error and consistent with gains.
+        f = pareto_front(simplex_front(np.random.default_rng(6), 90, 4))
+        assert len(f) == 90
+        assert len(_partition(f.points)[2]) <= 1000 < _max_cells(90, 4)
+        hv = hypervolume(f)
+        est, se = hypervolume_mc(f.points, n_samples=200_000, seed=1)
+        assert abs(hv - est) <= 3.0 * se
+        cand = np.full(4, 0.55)
+        joined = pareto_front(np.vstack([f.points, cand[None]]))
+        assert hv_improvement(f, cand) == pytest.approx(hypervolume(joined) - hv, rel=0, abs=1e-12)
 
     @given(st.lists(
         st.tuples(st.floats(0.05, 1.0), st.floats(0.05, 1.0)),

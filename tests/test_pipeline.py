@@ -15,6 +15,7 @@ from bofusion.core import (
 )
 from bofusion.errors import (
     EvaluationFailedError,
+    NumericalError,
     PipelineStageError,
     ProtocolError,
     UsageError,
@@ -292,6 +293,23 @@ class TestRunMobo:
         # remaining initial points cover one-hots until the budget runs out
         for i, d in enumerate(seen[1:]):
             assert np.array_equal(d, np.eye(4)[i])
+
+    def test_refuses_an_oversized_stage2_before_evaluating(self):
+        # 15 members, 75 iterations, 5 objectives: the last acquisition
+        # would see 90 points, more than NEHVI's partition bound admits.
+        calls = []
+
+        class Spy:
+            def score(self, delta):
+                calls.append(delta)
+                return {f"m{i}": 0.5 for i in range(5)}
+
+        spec = ObjectiveSpec(tuple(
+            ObjectiveEntry(f"m{i}", "maximize", 0.0, 1.0, "metric") for i in range(5)
+        ))
+        with pytest.raises(NumericalError, match="partition floats"):
+            run_mobo(15, InProcessEvaluator(Spy()), spec, seed=0)
+        assert calls == []
 
     def test_failures_become_placeholder_rows(self):
         calls = [0]
@@ -690,6 +708,22 @@ class TestRunPipeline:
             run_pipeline(cfg, seed=0)
         assert err.value.stage == "hpbo"
         assert isinstance(err.value.__cause__, EvaluationFailedError)
+
+    def test_oversized_stage2_is_refused_before_stage1(self):
+        # Stage 1 would fail here (a landscape has no trainer role), so only
+        # a check made before it can raise the size refusal.
+        cfg = parse_config({
+            **TOY_CONFIG,
+            "objectives": TOY_CONFIG["objectives"] + [
+                {"name": f"m{i}", "direction": "maximize", "kind": "metric"} for i in range(3)
+            ],
+            "n_members": 15,
+            "budgets": {"n_init": 2, "hpbo_iters": 2, "mobo_iters_per_member": 5},
+            "acq": {**TOY_CONFIG["acq"], "n_mc": 64},
+            "trainer": {"builtin": "landscape", "seed": 0, "n_members": 3},
+        })
+        with pytest.raises(NumericalError, match="partition floats"):
+            run_pipeline(cfg, seed=0)
 
 
 class OnSimplexToy(ToyEvaluator):
